@@ -45,6 +45,8 @@ use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use vacuum_packing::exec::blob::{self, write_atomic};
+use vacuum_packing::isa::Fnv;
 use vp_trace::Json;
 
 /// Default total size budget for the warehouse, in MiB (`VP_HISTORY_MB`).
@@ -70,31 +72,15 @@ pub const GATE_LAST_K: usize = 8;
 /// Read per call (not cached): subprocess tests point different runs at
 /// different warehouses.
 pub fn dir_from_env() -> Option<PathBuf> {
-    let dir = std::env::var("VP_HISTORY_DIR").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() {
-        None
-    } else {
-        Some(PathBuf::from(dir))
-    }
+    blob::dir_from_env("VP_HISTORY_DIR")
 }
 
 fn budget_from_env() -> u64 {
-    let mb = std::env::var("VP_HISTORY_MB")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_HISTORY_MB);
+    let mb = blob::mb_from(
+        std::env::var("VP_HISTORY_MB").ok().as_deref(),
+        DEFAULT_HISTORY_MB,
+    );
     mb.max(1) * 1024 * 1024
-}
-
-/// 64-bit FNV-1a over `bytes` — the warehouse's key fingerprint hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A compact histogram summary retained per run.
@@ -156,9 +142,12 @@ impl RunRecord {
         format!("{}|{}|{}", self.bin, self.config, self.workload)
     }
 
-    /// FNV-1a fingerprint of [`RunRecord::key`], as 16 hex digits.
+    /// Byte-wise FNV-1a fingerprint of [`RunRecord::key`], as 16 hex
+    /// digits.
     pub fn fingerprint(&self) -> String {
-        format!("{:016x}", fnv1a64(self.key().as_bytes()))
+        let mut h = Fnv::new();
+        h.fold_bytes(self.key().as_bytes());
+        format!("{:016x}", h.finish())
     }
 
     /// Extracts a run record from one `vp-manifest/1`/`/2` JSONL line.
@@ -471,6 +460,18 @@ pub struct IndexEntry {
     pub seg: String,
 }
 
+impl IndexEntry {
+    /// The entry's newline-terminated `index.jsonl` line.
+    fn line(&self) -> String {
+        let mut j = Json::obj();
+        j.set("ts", Json::U64(self.ts));
+        j.set("fp", self.fp.as_str().into());
+        j.set("bin", self.bin.as_str().into());
+        j.set("seg", self.seg.as_str().into());
+        j.render() + "\n"
+    }
+}
+
 /// An open warehouse directory.
 #[derive(Debug, Clone)]
 pub struct Warehouse {
@@ -515,15 +516,9 @@ impl Warehouse {
     pub fn segments(&self) -> std::io::Result<Vec<PathBuf>> {
         let mut segs: Vec<(u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("seg-")
-                .and_then(|r| r.strip_suffix(".jsonl"))
-                .and_then(|n| n.parse::<u64>().ok())
-            {
-                segs.push((num, entry.path()));
+            let path = entry?.path();
+            if let Some(num) = seg_number(&path) {
+                segs.push((num, path));
             }
         }
         segs.sort();
@@ -569,24 +564,16 @@ impl Warehouse {
             }
             None => (self.dir.join("seg-000001.jsonl"), 1),
         };
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&seg_path)?
-            .write_all(line.as_bytes())?;
+        append(&seg_path, line.as_bytes())?;
 
-        let mut idx = Json::obj();
-        idx.set("ts", Json::U64(rec.ts));
-        idx.set("fp", rec.fingerprint().into());
-        idx.set("bin", rec.bin.as_str().into());
-        idx.set("seg", format!("seg-{seg_num:06}.jsonl").into());
-        let mut idx_line = idx.render();
-        idx_line.push('\n');
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join("index.jsonl"))?
-            .write_all(idx_line.as_bytes())?;
+        let idx_line = IndexEntry {
+            ts: rec.ts,
+            fp: rec.fingerprint(),
+            bin: rec.bin.clone(),
+            seg: format!("seg-{seg_num:06}.jsonl"),
+        }
+        .line();
+        append(&self.dir.join("index.jsonl"), idx_line.as_bytes())?;
 
         self.enforce_budget()
     }
@@ -605,26 +592,14 @@ impl Warehouse {
             std::fs::remove_file(oldest)?;
         }
         if !removed.is_empty() {
-            // Rewrite the index without the dropped segments' entries
-            // (atomically: temp file + rename).
-            let kept: Vec<IndexEntry> = self
+            // Rewrite the index without the dropped segments' entries.
+            let body: String = self
                 .index()?
-                .into_iter()
+                .iter()
                 .filter(|e| !removed.contains(&e.seg))
+                .map(IndexEntry::line)
                 .collect();
-            let mut body = String::new();
-            for e in &kept {
-                let mut j = Json::obj();
-                j.set("ts", Json::U64(e.ts));
-                j.set("fp", e.fp.as_str().into());
-                j.set("bin", e.bin.as_str().into());
-                j.set("seg", e.seg.as_str().into());
-                body.push_str(&j.render());
-                body.push('\n');
-            }
-            let tmp = self.dir.join("index.jsonl.tmp");
-            std::fs::write(&tmp, body)?;
-            std::fs::rename(&tmp, self.dir.join("index.jsonl"))?;
+            write_atomic(&self.dir.join("index.jsonl"), body.as_bytes())?;
         }
         Ok(())
     }
@@ -712,24 +687,25 @@ impl Warehouse {
         let mut out = Vec::new();
         for line in text.lines() {
             if let Ok(j) = Json::parse(line) {
+                let field = |k| j.get(k).and_then(Json::as_str).unwrap_or("").to_string();
                 out.push(IndexEntry {
                     ts: j.get("ts").and_then(Json::as_u64).unwrap_or(0),
-                    fp: j.get("fp").and_then(Json::as_str).unwrap_or("").to_string(),
-                    bin: j
-                        .get("bin")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    seg: j
-                        .get("seg")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
+                    fp: field("fp"),
+                    bin: field("bin"),
+                    seg: field("seg"),
                 });
             }
         }
         Ok(out)
     }
+}
+
+fn append(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?
+        .write_all(bytes)
 }
 
 fn seg_number(path: &Path) -> Option<u64> {
@@ -1008,11 +984,16 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn fingerprint_is_pinned() {
+        // The index `fp` column is persisted: existing warehouses must
+        // keep grouping runs under the same fingerprint.
+        let rec = RunRecord {
+            bin: "sweep".into(),
+            config: "scale=1,timing=true".into(),
+            workload: "suite".into(),
+            ..RunRecord::default()
+        };
+        assert_eq!(rec.fingerprint(), "647f6c96a618f25a");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::package::{Package, PkgBlockMeta};
 use crate::region::Region;
 use crate::PackConfig;
 use std::collections::BTreeSet;
-use vp_isa::{BlockId, CodeRef, FuncId};
+use vp_isa::{BlockId, CodeRef, Fnv, FuncId};
 use vp_program::{FuncKind, Function, Program, Terminator};
 use vp_trace::Counter;
 
@@ -79,15 +79,8 @@ impl PackOutput {
     /// package block. Distinguishes packed variants of one workload in
     /// the trace cache (`vp_exec::TraceKey::packed`).
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv::new();
+        let mut fold = |v: u64| h.fold_bytes(&v.to_le_bytes());
         fold(self.packages.len() as u64);
         for pi in &self.packages {
             fold(pi.phase as u64);
@@ -107,7 +100,7 @@ impl PackOutput {
             }
         }
         fold(self.launch_points as u64);
-        h
+        h.finish()
     }
 
     /// Builds the [`vp_exec::IdentityMap`] that folds this rewritten
@@ -470,6 +463,15 @@ mod tests {
         let mut c = pack_it(&p);
         c.packages.pop();
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Persisted as `TraceKey::variant` of every packed capture.
+        assert_eq!(
+            pack_it(&hot_loop_program()).fingerprint(),
+            0x81fc_e99c_adb0_f9fb
+        );
     }
 
     #[test]

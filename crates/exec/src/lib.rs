@@ -56,7 +56,8 @@
 //!    budget is exceeded. Concurrent requests for the same key are
 //!    single-flighted: one thread interprets, the rest replay.
 //! 4. **Persist** across processes: with `VP_TRACE_DIR` set, captures are
-//!    serialized to disk ([`DiskTier`], versioned header + CRC, budget
+//!    serialized to disk ([`DiskTier`], a `.vptrace` format layer over the
+//!    shared [`blob`] store: framed + CRC-checked, atomic writes, budget
 //!    `VP_TRACE_DISK_MB` with mtime-LRU eviction), so a warmed cache
 //!    survives restarts and is shared by sharded sweep processes.
 //!
@@ -96,6 +97,7 @@
 
 #![warn(missing_docs)]
 
+pub mod blob;
 pub mod diff;
 pub mod event;
 pub mod exec;
@@ -103,6 +105,7 @@ pub mod fx;
 pub mod memory;
 pub mod trace_store;
 
+pub use blob::{crc32, BlobDir};
 pub use diff::{
     diff_traces, BlockIdentity, DiffMode, DiffOptions, DiffReport, DiffVerdict, Divergence,
     IdentityMap, Visit,
@@ -112,7 +115,7 @@ pub use exec::{ExecError, Executor, RunConfig, RunStats, StopReason};
 pub use fx::{FxHashMap, FxHasher};
 pub use memory::Memory;
 pub use trace_store::{
-    crc32, CapturedTrace, DiskTier, StoreSnapshot, TraceKey, TraceRecorder, TraceStore,
-    DEFAULT_CACHE_MB, DEFAULT_DISK_MB, DEFAULT_REPLAY_BATCH, DEFAULT_REPLAY_BATCH_COLS,
+    CapturedTrace, DiskTier, StoreSnapshot, TraceKey, TraceRecorder, TraceStore, DEFAULT_CACHE_MB,
+    DEFAULT_DISK_MB, DEFAULT_REPLAY_BATCH, DEFAULT_REPLAY_BATCH_COLS,
     FORMAT_VERSION as TRACE_FORMAT_VERSION,
 };

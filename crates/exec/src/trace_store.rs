@@ -99,7 +99,7 @@ use vp_trace::Counter;
 
 pub mod persist;
 
-pub use persist::{crc32, DiskTier, DEFAULT_DISK_MB, FORMAT_VERSION};
+pub use persist::{DiskTier, DEFAULT_DISK_MB, FORMAT_VERSION};
 
 /// Architectural executions performed because no capture was available.
 static CAPTURES: Counter = Counter::new("trace_store.captures");
@@ -970,23 +970,19 @@ impl TraceKey {
     /// Builds the key for running `program` under `layout` and `cfg`.
     pub fn new(workload: &str, program: &Program, layout: &Layout, cfg: &RunConfig) -> TraceKey {
         // FNV-1a over the structural outline; cheap relative to one run.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(program.funcs.len() as u64);
-        mix(u64::from(program.entry.0));
+        let mut h = vp_isa::Fnv::new();
+        h.write_usize(program.funcs.len());
+        h.write_u32(program.entry.0);
         for (fi, f) in program.funcs.iter().enumerate() {
-            mix(f.blocks.len() as u64);
+            h.write_usize(f.blocks.len());
             for (bi, b) in f.blocks.iter().enumerate() {
-                mix(b.insts.len() as u64);
-                mix(layout.addr_of(vp_isa::CodeRef::new(fi as u32, bi as u32)));
+                h.write_usize(b.insts.len());
+                h.write_u64(layout.addr_of(vp_isa::CodeRef::new(fi as u32, bi as u32)));
             }
         }
         TraceKey {
             workload: workload.to_string(),
-            fingerprint: h,
+            fingerprint: h.finish(),
             variant: 0,
             max_insts: cfg.max_insts,
             max_depth: cfg.max_depth as u64,
@@ -1518,6 +1514,15 @@ mod tests {
         let p = pb.build();
         let layout = Layout::natural(&p);
         (p, layout)
+    }
+
+    #[test]
+    fn trace_key_fingerprint_is_pinned() {
+        // Persisted in every `.vptrace` key echo and file name: an
+        // accidental hash change would orphan every warmed cache.
+        let (p, layout) = sample_program();
+        let key = TraceKey::new("pin", &p, &layout, &RunConfig::default());
+        assert_eq!(key.fingerprint, 0x462d_1a05_a8b9_7a7a);
     }
 
     /// Collects every replayed event verbatim.

@@ -8,27 +8,23 @@
 //! survives process restarts and is shared between concurrently running
 //! shard processes.
 //!
-//! # File format (`.vptrace`, version [`FORMAT_VERSION`])
+//! Storage — framing, atomic writes, the `VP_TRACE_DISK_MB` budget, LRU,
+//! self-heal — is the shared [`BlobDir`]; this module is the format layer
+//! on top: the `.vptrace` codec, the mmap and owned load paths, the key
+//! echo, and the `trace_store.disk_*` counters and flight events.
 //!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "VPTR"
-//! 4       4     format version (LE u32)
-//! 8       4     CRC-32 (IEEE) of the payload (LE u32)
-//! 12      ..    payload
-//! ```
+//! # File format (`.vptrace`, magic `"VPTR"`, version [`FORMAT_VERSION`])
 //!
-//! The payload is varint-coded and opens with a shared **header string
-//! table** (each string stored once, referenced by index) followed by an
-//! echo of the owning [`TraceKey`] — workload name (by table index),
-//! structural fingerprint, variant, and run limits — which makes every
-//! file self-describing and lets the loader refuse a capture whose key
-//! does not match the request (e.g. after a path-hash collision). Then
-//! come run stats, event count, the static side-table section, and the
-//! raw dynamic stream section. The CRC covers everything after the fixed
-//! header, so a truncated or bit-flipped file is *refused* at load — the
-//! caller falls back to live execution and overwrites the entry — never
-//! replayed wrong.
+//! The [`crate::blob::frame`]d payload is varint-coded and opens with a
+//! shared **header string table** (each string stored once, referenced by
+//! index) followed by an echo of the owning [`TraceKey`] — workload name
+//! (by table index), structural fingerprint, variant, and run limits —
+//! which makes every file self-describing and lets the loader refuse a
+//! capture whose key does not match the request (e.g. after a path-hash
+//! collision). Then come run stats, event count, the static side-table
+//! section, and the raw dynamic stream section. A truncated or bit-flipped file fails the
+//! frame's CRC and is *refused* at load — the caller falls back to live
+//! execution and overwrites the entry — never replayed wrong.
 //!
 //! ## Hot-slot index (v3)
 //!
@@ -41,29 +37,20 @@
 //! encodes slot references as deltas over *original* indices) replays
 //! byte-identically. v2 files (dense side table, no remap) remain
 //! readable; v1 files are refused.
-//!
-//! # Budget
-//!
-//! [`DiskTier`] enforces a byte budget (`VP_TRACE_DISK_MB`, default
-//! 2048): after every write, the oldest-mtime files are evicted until the
-//! directory fits. Loading a capture touches its mtime, making the
-//! eviction order least-recently-*used*, not least-recently-written.
-//! Writes are atomic (temp file + rename), so concurrent shard processes
-//! sharing one `VP_TRACE_DIR` never observe half-written captures.
 
 use super::{
     get_varint, put_varint, unzigzag, CapturedTrace, StaticSlot, StreamBytes, TraceKey, FLAG_MEM,
     FLAG_SEQ,
 };
+use crate::blob::{frame, unframe, BlobDir, Reader, HEADER_LEN};
 use crate::event::{Ctrl, Retired};
 use crate::exec::{RunStats, StopReason};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::SystemTime;
 use vp_isa::reg::NUM_REGS;
-use vp_isa::{CodeRef, FuClass, Reg};
+use vp_isa::{CodeRef, Fnv, FuClass, Reg};
 use vp_trace::Counter;
 
 pub(crate) mod mmap;
@@ -94,69 +81,6 @@ pub const DEFAULT_DISK_MB: u64 = 2048;
 
 const MAGIC: &[u8; 4] = b"VPTR";
 const EXT: &str = "vptrace";
-
-// ------------------------------------------------------------------ crc32
-
-/// Eight lookup tables for slice-by-8: `T[0]` is the classic byte-at-a-
-/// time table, and `T[k][i]` advances `T[k-1][i]` by one more zero byte,
-/// so one round of eight table lookups consumes eight input bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][(t[k - 1][i] & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// IEEE CRC-32, as used by gzip/zip. Slice-by-8: the byte-at-a-time
-/// update chains one dependent table lookup per input byte (~0.5 GB/s),
-/// which dominated `disk_load`; processing eight bytes per round with
-/// independent lookups runs several times faster and is what keeps CRC
-/// validation affordable on the zero-copy mmap path.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = !0u32;
-    let mut chunks = data.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xff) as usize];
-    }
-    !c
-}
 
 // --------------------------------------------------------------- encoding
 
@@ -337,57 +261,14 @@ pub(super) fn encode_versioned(key: &TraceKey, trace: &CapturedTrace, version: u
     put_varint(&mut payload, trace.stream.len() as u64);
     payload.extend_from_slice(&trace.stream);
 
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame(MAGIC, version, &payload)
 }
 
-/// A bounds-checked payload reader; every accessor returns `None` past the
-/// end instead of panicking, so truncated files that somehow pass the CRC
-/// are still refused.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn varint(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return None;
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn reg(&mut self) -> Option<Option<Reg>> {
-        match self.u8()? {
-            NO_REG => Some(None),
-            idx if (idx as usize) < NUM_REGS => Some(Some(Reg::from_index(idx as usize))),
-            _ => None,
-        }
+fn read_reg(rd: &mut Reader) -> Option<Option<Reg>> {
+    match rd.u8()? {
+        NO_REG => Some(None),
+        idx if (idx as usize) < NUM_REGS => Some(Some(Reg::from_index(idx as usize))),
+        _ => None,
     }
 }
 
@@ -422,7 +303,7 @@ fn placeholder_slot() -> StaticSlot {
 }
 
 /// Deserializes one side-table record (shared by the v2 and v3 layouts).
-fn read_slot(rd: &mut Rd) -> Option<StaticSlot> {
+fn read_slot(rd: &mut Reader) -> Option<StaticSlot> {
     let flags = rd.u8()?;
     let addr = rd.varint()?;
     let func = u32::try_from(rd.varint()?).ok()?;
@@ -430,13 +311,13 @@ fn read_slot(rd: &mut Rd) -> Option<StaticSlot> {
     let fu = decode_fu(rd.u8()?)?;
     let latency = u32::try_from(rd.varint()?).ok()?;
     let def = if flags & SLOT_HAS_DEF != 0 {
-        rd.reg()?
+        read_reg(rd)?
     } else {
         None
     };
     let mut uses = [None; 3];
     for u in &mut uses {
-        *u = rd.reg()?;
+        *u = read_reg(rd)?;
     }
     let ctrl = if flags & SLOT_HAS_CTRL != 0 {
         let cfunc = u32::try_from(rd.varint()?).ok()?;
@@ -495,23 +376,8 @@ struct Parsed {
 /// older v2 writer. Returns `None` on any mismatch — wrong magic,
 /// unsupported version, CRC failure, or malformed payload.
 fn parse(bytes: &[u8]) -> Option<Parsed> {
-    if bytes.len() < 12 || &bytes[0..4] != MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
-        return None;
-    }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
-    let payload = &bytes[12..];
-    if crc32(payload) != stored_crc {
-        return None;
-    }
-
-    let mut rd = Rd {
-        buf: payload,
-        pos: 0,
-    };
+    let (version, payload) = unframe(bytes, MAGIC, MIN_READ_VERSION..=FORMAT_VERSION)?;
+    let mut rd = Reader::new(payload);
 
     // Header string table.
     let n_strings = usize::try_from(rd.varint()?).ok()?;
@@ -599,9 +465,9 @@ fn parse(bytes: &[u8]) -> Option<Parsed> {
     };
 
     let stream_len = usize::try_from(rd.varint()?).ok()?;
-    let stream_start = 12 + rd.pos;
+    let stream_start = HEADER_LEN + rd.pos();
     rd.take(stream_len)?;
-    if rd.pos != payload.len() {
+    if !rd.done() {
         return None; // trailing garbage
     }
     Some(Parsed {
@@ -620,9 +486,9 @@ fn parse(bytes: &[u8]) -> Option<Parsed> {
 }
 
 /// Deserializes a byte image produced by [`encode`], returning the echoed
-/// key alongside the capture. Returns `None` on any mismatch — wrong
-/// magic, unsupported version, CRC failure, or malformed payload — so
-/// callers re-execute instead of replaying garbage.
+/// key alongside the capture. Returns `None` on any mismatch — bad frame
+/// or malformed payload — so callers re-execute instead of replaying
+/// garbage.
 ///
 /// The production load path is [`decode_owned`] (it reuses the file
 /// buffer); this borrowed variant is the conformance surface the format
@@ -686,20 +552,11 @@ fn mmap_enabled() -> bool {
 
 // -------------------------------------------------------------- the tier
 
-/// Parses a `VP_TRACE_DISK_MB`-style value; `None`/unparsable falls back
-/// to [`DEFAULT_DISK_MB`]. `0` disables the tier entirely.
-fn disk_mb_from(spec: Option<&str>) -> u64 {
-    spec.and_then(|s| s.trim().parse().ok())
-        .unwrap_or(DEFAULT_DISK_MB)
-}
-
-/// The on-disk persistence tier: a directory of `.vptrace` files keyed by
-/// [`TraceKey`] fingerprint, bounded by a byte budget with mtime-LRU
-/// eviction.
+/// The on-disk persistence tier: a [`BlobDir`] of `.vptrace` files keyed
+/// by [`TraceKey`] fingerprint.
 #[derive(Debug)]
 pub struct DiskTier {
-    root: PathBuf,
-    cap_bytes: u64,
+    dir: BlobDir,
 }
 
 impl DiskTier {
@@ -710,61 +567,32 @@ impl DiskTier {
     ///
     /// Fails if the directory cannot be created.
     pub fn new(root: impl Into<PathBuf>, cap_bytes: u64) -> io::Result<DiskTier> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
-        Ok(DiskTier { root, cap_bytes })
+        Ok(DiskTier {
+            dir: BlobDir::new(root, cap_bytes, EXT)?,
+        })
     }
 
     /// Builds the tier from `VP_TRACE_DIR` / `VP_TRACE_DISK_MB` (default
-    /// 2048 MB). Returns `None` when `VP_TRACE_DIR` is unset/empty, the
-    /// budget is 0, or the directory cannot be created (with a warning:
-    /// persistence is an accelerator, never a correctness requirement).
+    /// 2048 MB); `None` when disabled (see [`BlobDir::from_env`]).
     pub fn from_env() -> Option<DiskTier> {
-        let dir = std::env::var("VP_TRACE_DIR").ok()?;
-        let dir = dir.trim();
-        if dir.is_empty() {
-            return None;
-        }
-        let mb = disk_mb_from(std::env::var("VP_TRACE_DISK_MB").ok().as_deref());
-        if mb == 0 {
-            return None;
-        }
-        match DiskTier::new(dir, mb.saturating_mul(1024 * 1024)) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("vp-exec: VP_TRACE_DIR={dir} unusable ({e}); disk tier disabled");
-                None
-            }
-        }
+        BlobDir::from_env("VP_TRACE_DIR", "VP_TRACE_DISK_MB", DEFAULT_DISK_MB, EXT)
+            .map(|dir| DiskTier { dir })
     }
 
     /// The tier's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cap_bytes
+        self.dir.root()
     }
 
     /// The file a key persists to: a sanitized workload prefix for
     /// debuggability plus a 16-hex-digit fingerprint over every key field.
     pub fn path_for(&self, key: &TraceKey) -> PathBuf {
-        // FNV-1a over every key field; the workload prefix alone is not
-        // unique (same label, different scale/layout/config/variant).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix_byte = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for b in key.workload.bytes() {
-            mix_byte(b);
-        }
+        // Byte-wise FNV-1a over every key field; the workload prefix alone
+        // is not unique (same label, different scale/layout/config/variant).
+        let mut h = Fnv::new();
+        h.fold_bytes(key.workload.as_bytes());
         for v in [key.fingerprint, key.variant, key.max_insts, key.max_depth] {
-            for b in v.to_le_bytes() {
-                mix_byte(b);
-            }
+            h.fold_bytes(&v.to_le_bytes());
         }
         let prefix: String = key
             .workload
@@ -777,21 +605,18 @@ impl DiskTier {
                 }
             })
             .collect();
-        self.root.join(format!("{prefix}-{h:016x}.{EXT}"))
+        self.dir.path(&format!("{prefix}-{:016x}", h.finish()))
     }
 
-    /// Loads `key`'s capture, verifying version, CRC, and the header's key
-    /// echo. Returns `None` (and deletes the file, so the slot heals on
-    /// the next write) when the file is absent, truncated, corrupted, from
-    /// another format version, or records a *different* key than the one
-    /// requested. A successful load touches the file's mtime, giving the
-    /// budget sweep true LRU order.
+    /// Loads `key`'s capture, verifying the frame and the key echo. A file
+    /// that fails either — truncated, corrupt, another format version, or
+    /// recorded for a *different* key — is removed; a hit is touched.
     ///
     /// On platforms with mmap support the file is memory-mapped and the
     /// dynamic stream stays a zero-copy window into the mapping;
-    /// `VP_TRACE_MMAP=0` or an mmap failure falls back
-    /// to the owned single-allocation read. Either way the CRC is verified
-    /// in full before anything replays.
+    /// `VP_TRACE_MMAP=0` or an mmap failure falls back to the owned
+    /// single-allocation read. Either way the CRC is verified in full
+    /// before anything replays.
     pub fn load(&self, key: &TraceKey) -> Option<CapturedTrace> {
         self.load_with(key, mmap_enabled())
     }
@@ -819,96 +644,39 @@ impl DiskTier {
                 DISK_HITS.incr();
                 // Flight payload: (file bytes, event count).
                 vp_trace::flight("trace_store.disk_hit", trace.bytes() as u64, trace.events);
-                // Best-effort recency bump; eviction degrades to
-                // least-recently-written if the touch fails.
-                if let Ok(f) = fs::File::options().write(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
-                }
+                self.dir.touch(&path);
                 Some(trace)
             }
             _ => {
-                let _ = fs::remove_file(&path);
+                self.dir.remove(&path);
                 None
             }
         }
     }
 
-    /// Persists `trace` under `key` atomically (temp file + rename), then
-    /// evicts oldest-mtime files until the directory fits the budget.
+    /// Persists `trace` under `key` through [`BlobDir::put`]: atomic,
+    /// skipped when larger than the whole budget, followed by LRU
+    /// eviction.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; the caller treats them as a cache miss.
     pub fn store(&self, key: &TraceKey, trace: &CapturedTrace) -> io::Result<()> {
         let bytes = encode(key, trace);
-        if bytes.len() as u64 > self.cap_bytes {
-            return Ok(()); // larger than the whole budget: not persistable
+        let stored = self.dir.put(&self.path_for(key), &bytes, |len, left| {
+            DISK_EVICTIONS.incr();
+            // Flight payload: (evicted file bytes, resident bytes after).
+            vp_trace::flight("trace_store.disk_evict", len, left);
+        })?;
+        if stored {
+            DISK_BYTES.add(bytes.len() as u64);
         }
-        let path = self.path_for(key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        DISK_BYTES.add(bytes.len() as u64);
-        self.evict_to_budget(&path);
         Ok(())
     }
 
     /// Total bytes currently resident in the tier.
     pub fn resident_bytes(&self) -> u64 {
-        self.scan().into_iter().map(|(_, len, _)| len).sum()
-    }
-
-    /// Number of captures currently resident in the tier.
-    pub fn len(&self) -> usize {
-        self.scan().len()
-    }
-
-    /// Whether the tier holds no captures.
-    pub fn is_empty(&self) -> bool {
-        self.scan().is_empty()
-    }
-
-    fn scan(&self) -> Vec<(PathBuf, u64, SystemTime)> {
-        let Ok(entries) = fs::read_dir(&self.root) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(EXT) {
-                continue;
-            }
-            if let Ok(meta) = entry.metadata() {
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                out.push((path, meta.len(), mtime));
-            }
-        }
-        out
-    }
-
-    fn evict_to_budget(&self, keep: &Path) {
-        let mut files = self.scan();
-        let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
-        if total <= self.cap_bytes {
-            return;
-        }
-        // Oldest first; the tie-break on path keeps eviction deterministic
-        // when a filesystem's mtime granularity groups writes.
-        files.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-        for (path, len, _) in files {
-            if total <= self.cap_bytes {
-                break;
-            }
-            if path == keep {
-                continue;
-            }
-            if fs::remove_file(&path).is_ok() {
-                total -= len;
-                DISK_EVICTIONS.incr();
-                // Flight payload: (evicted file bytes, resident bytes after).
-                vp_trace::flight("trace_store.disk_evict", len, total);
-            }
-        }
+        self.dir.resident_bytes()
     }
 }
 
@@ -931,33 +699,6 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-    }
-
-    #[test]
-    fn crc32_slice_by_8_matches_bytewise_at_every_length() {
-        // The slice-by-8 kernel has three regimes (empty, <8-byte tail,
-        // full rounds + tail); pin all of them against the reference
-        // byte-at-a-time recurrence over table 0.
-        fn reference(data: &[u8]) -> u32 {
-            let mut c = !0u32;
-            for &b in data {
-                c = (c >> 8) ^ CRC32_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize];
-            }
-            !c
-        }
-        let data: Vec<u8> = (0..1024u32)
-            .map(|i| i.wrapping_mul(2_654_435_761) as u8)
-            .collect();
-        for len in (0..64).chain([255, 256, 1000, 1024]) {
-            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len={len}");
-        }
     }
 
     #[test]
@@ -1186,7 +927,7 @@ mod tests {
         let tier = DiskTier::new(tempdir("roundtrip"), 64 * 1024 * 1024).unwrap();
         assert!(tier.load(&key).is_none(), "cold tier misses");
         tier.store(&key, &trace).unwrap();
-        assert_eq!(tier.len(), 1);
+        assert_eq!(tier.resident_bytes(), encode(&key, &trace).len() as u64);
 
         let loaded = tier.load(&key).expect("warm tier hits");
         let (mut a, mut b) = (InstCounts::new(), InstCounts::new());
@@ -1216,7 +957,7 @@ mod tests {
         let tier = DiskTier::new(tempdir("echo"), 64 * 1024 * 1024).unwrap();
         tier.store(&key_a, &trace).unwrap();
         // Simulate a path-hash collision: key B's slot holds key A's file.
-        fs::rename(tier.path_for(&key_a), tier.path_for(&key_b)).unwrap();
+        fs::copy(tier.path_for(&key_a), tier.path_for(&key_b)).unwrap();
         assert!(tier.load(&key_b).is_none(), "key echo mismatch refused");
         assert!(
             !tier.path_for(&key_b).exists(),
@@ -1242,6 +983,7 @@ mod tests {
 
     #[test]
     fn tier_evicts_oldest_beyond_budget() {
+        // "Oldest" is least recently *used*: a load touches the file.
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
         let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
@@ -1252,17 +994,24 @@ mod tests {
             .iter()
             .map(|l| TraceKey::new(l, &p, &layout, &cfg))
             .collect();
-        for (i, key) in keys.iter().enumerate() {
-            // Filesystem mtime granularity can be 1 ms; space the writes
-            // out so eviction order is the write order.
-            if i > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            tier.store(key, &trace).unwrap();
-        }
-        assert_eq!(tier.len(), 2, "third write evicts the oldest");
-        assert!(tier.resident_bytes() <= tier.capacity_bytes());
-        assert!(tier.load(&keys[0]).is_none(), "oldest entry was evicted");
+        // Filesystem mtime granularity can be 1 ms; space the steps out
+        // so eviction order is the access order.
+        let tick = || std::thread::sleep(std::time::Duration::from_millis(20));
+        tier.store(&keys[0], &trace).unwrap();
+        tick();
+        tier.store(&keys[1], &trace).unwrap();
+        tick();
+        assert!(tier.load(&keys[0]).is_some(), "touches a: b is now oldest");
+        tick();
+        let ((), report) = vp_trace::scoped(|| tier.store(&keys[2], &trace).unwrap());
+        assert_eq!(report.counter("trace_store.disk_evictions"), 1);
+        assert_eq!(tier.resident_bytes(), 2 * one, "third write evicts one");
+        assert!(tier.resident_bytes() <= tier.dir.capacity_bytes());
+        assert!(!tier.path_for(&keys[1]).exists(), "LRU entry was evicted");
+        assert!(
+            tier.load(&keys[0]).is_some(),
+            "recently loaded entry survives"
+        );
         assert!(tier.load(&keys[2]).is_some());
         let _ = fs::remove_dir_all(tier.root());
     }
@@ -1299,7 +1048,60 @@ mod tests {
     }
 
     #[test]
+    fn path_for_is_pinned() {
+        // File names are the disk tier's addresses: a warmed directory
+        // only keeps hitting while this hash is unchanged.
+        let tier = DiskTier::new(tempdir("pin"), 0).unwrap();
+        let key = TraceKey {
+            workload: "300.twolf A".into(),
+            fingerprint: 0x0123_4567_89ab_cdef,
+            variant: 7,
+            max_insts: 1_000_000,
+            max_depth: 64,
+        };
+        assert_eq!(
+            tier.path_for(&key),
+            tier.root().join("300.twolf_A-7945ed62676af4ed.vptrace")
+        );
+        let _ = fs::remove_dir_all(tier.root());
+    }
+
+    #[test]
+    fn failed_store_errs_without_leaking_a_temp_file() {
+        let (p, layout) = sample_program();
+        let cfg = RunConfig::default();
+        let key = TraceKey::new("blocked", &p, &layout, &cfg);
+        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
+
+        let tier = DiskTier::new(tempdir("blocked"), 64 * 1024 * 1024).unwrap();
+        // A non-empty directory squats on the entry's path: rename fails.
+        fs::create_dir_all(tier.path_for(&key).join("occupied")).unwrap();
+        assert!(tier.store(&key, &trace).is_err());
+        let leaked: Vec<_> = fs::read_dir(tier.root())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leaked.is_empty(), "temp files leaked: {leaked:?}");
+        let _ = fs::remove_dir_all(tier.root());
+    }
+
+    #[test]
+    fn golden_v3_image() {
+        // Length and CRC-32 of the whole image (header included),
+        // recorded from the pre-primitive encoder: any framing or payload
+        // drift changes the bytes every warmed cache holds.
+        let (p, layout) = sample_program();
+        let cfg = RunConfig::default();
+        let key = TraceKey::new("golden", &p, &layout, &cfg);
+        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
+        let image = encode(&key, &trace);
+        assert_eq!((image.len(), crate::crc32(&image)), (452, 0xca11_c43f));
+    }
+
+    #[test]
     fn disk_mb_parsing() {
+        let disk_mb_from = |spec| crate::blob::mb_from(spec, DEFAULT_DISK_MB);
         assert_eq!(disk_mb_from(None), DEFAULT_DISK_MB);
         assert_eq!(disk_mb_from(Some("64")), 64);
         assert_eq!(disk_mb_from(Some(" 0 ")), 0);

@@ -10,6 +10,8 @@
 //! Every field is folded through a fixed-width little-endian encoding, so
 //! two structs whose adjacent fields could alias under a naive byte
 //! concatenation (`(1, 16)` vs `(11, 6)`) still hash differently.
+//! [`Fnv::fold_bytes`] is plain byte-wise FNV-1a, for the persisted
+//! hashes defined over raw bytes (file names, package-set fingerprints).
 //!
 //! ```
 //! use vp_isa::Fnv;
@@ -78,14 +80,21 @@ impl Fnv {
         self.write_u64(v.to_bits());
     }
 
+    /// Folds raw bytes one at a time, with no length prefix: byte-wise
+    /// FNV-1a (a byte step is exactly a [`Fnv::write_u64`] of the byte).
+    /// Fixed-width fields fold through `to_le_bytes()`.
+    pub fn fold_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
     /// Folds a byte string: its length, then each byte (the length prefix
     /// keeps `("ab", "c")` distinct from `("a", "bc")` in field
     /// sequences).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_usize(bytes.len());
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
+        self.fold_bytes(bytes);
     }
 
     /// Folds a UTF-8 string via [`Fnv::write_bytes`].
@@ -110,6 +119,19 @@ mod tests {
         let mut h = Fnv::new();
         h.write_u64(42);
         assert_eq!(h.finish(), (Fnv::OFFSET ^ 42).wrapping_mul(Fnv::PRIME));
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published byte-wise FNV-1a 64 test vectors.
+        let fnv1a64 = |bytes: &[u8]| {
+            let mut h = Fnv::new();
+            h.fold_bytes(bytes);
+            h.finish()
+        };
+        assert_eq!(fnv1a64(b""), Fnv::OFFSET);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
