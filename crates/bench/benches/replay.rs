@@ -1,36 +1,19 @@
-//! Replay-path throughput: the tracked perf baseline for the batched
-//! replay kernel (`BENCH_10.json`).
+//! Replay-path throughput: the tracked perf baseline of the capture/replay
+//! pipeline (`BENCH_13.json`).
 //!
-//! Measures events/sec for every stage of the capture/replay pipeline on
-//! one real workload:
+//! Measures events/sec for every stage on one real workload:
 //!
 //! * `execute` — interpret the program live (what a cache miss costs);
 //! * `capture` — interpret once while recording the stream;
 //! * `capture_fast` — the same recording on a sequential-heavy workload
 //!   (gzip's long deflate loops), the shape the recorder's no-hash-probe
 //!   straight-line append exists for;
-//! * `replay_per_event` — the pre-batching decoder
-//!   (`CapturedTrace::replay_per_event`) into a monomorphized counting
-//!   sink;
-//! * `replay_batched` — the batched front door (`CapturedTrace::replay`)
-//!   at its tuned default chunk size. `InstCounts` is a columns-only
-//!   sink, so this measures the column decode kernel with no `Retired`
-//!   struct materialization at all — the fix for the `BENCH_9`
-//!   batched-vs-per-event inversion, which turned out to be the struct
-//!   staging round-trip (80 B/event written then re-read) that the
-//!   monomorphized per-event loop never paid, not a regression from the
-//!   feed/flight hooks (those are no-ops unless a trace sink is
-//!   installed);
-//! * `replay_per_event_dyn` / `replay_batched_dyn` — the same two kernels
-//!   through an opaque `&mut dyn Sink` boundary: one indirect call per
-//!   *event* vs one per *chunk*, the dispatch cost batching exists to
-//!   amortize;
-//! * `replay_sim` — the fused decode+sim loop
-//!   (`TimingModel::replay_trace`), the heaviest real consumer;
-//! * `replay_sim_sink` — the same timing model driven through the
-//!   generic batched `Sink` path, the pre-fusion comparison point;
-//! * `replay_hsd` — replay through the hot-spot detector's batched
-//!   sink (the profiling-side timing sink);
+//! * `replay_batched` — `CapturedTrace::replay` into `InstCounts`;
+//! * `replay_sim` — `TimingModel::replay_trace`, the heaviest consumer;
+//! * `replay_hsd` — replay into the hot-spot detector;
+//! * `replay_diff` — `diff_traces` of one packed twolf cell (every
+//!   `PackConfig` default, natural layout, as the untimed sweep runs it)
+//!   against its original, counting the events of both replays;
 //! * `disk_load` — bring a v3 `.vptrace` back from the disk tier on the
 //!   default path (memory-mapped zero-copy where supported, owned read
 //!   otherwise), CRC verified either way;
@@ -38,31 +21,40 @@
 //!   forced, so the zero-copy win is measured against the read+copy
 //!   fallback side by side.
 //!
+//! `replay_batched`, `replay_sim` and `replay_hsd` all run the one replay
+//! loop: there is no chunked or per-event kernel left to compare against.
+//! The row names are kept so the `BENCH_5`…`BENCH_10` history series
+//! continue.
+//!
 //! Knobs (on top of the usual `VP_BENCH_MS`/`VP_BENCH_SAMPLES`):
 //!
 //! * `VP_BENCH_JSON=<path>` — write the measurements as a JSON baseline
-//!   (the file committed as `BENCH_10.json`);
-//! * `VP_BENCH_BASELINE=<path>` — compare against a committed baseline
-//!   and exit non-zero if the batched kernel's throughput, *normalized to
-//!   the per-event kernel measured in the same run* (so host speed
-//!   cancels), regressed more than 25%;
+//!   (the file committed as `BENCH_13.json`);
+//! * `VP_BENCH_BASELINE=<path>` — gate the absolute events/sec of the
+//!   four replay rows ([`GATED_ROWS`]) against a committed baseline: exit
+//!   non-zero when any row falls more than 25% below it;
 //! * `VP_HISTORY_DIR=<dir>` — ingest this run into the run-history
 //!   warehouse, and when it already holds enough runs
-//!   (`bench::history::GATE_MIN_SAMPLES`), gate each ratio against the
+//!   (`bench::history::GATE_MIN_SAMPLES`), gate each row against the
 //!   median±3·MAD tolerance band of the last K warehoused runs instead
 //!   of the single committed baseline.
 
 use std::io::Write;
+use vacuum_packing::core::{pack, PackConfig};
 use vacuum_packing::exec::{
-    CapturedTrace, DiskTier, Executor, InstCounts, RunConfig, Sink, TraceKey,
+    diff_traces, CapturedTrace, DiffOptions, DiskTier, Executor, InstCounts, RunConfig, TraceKey,
 };
 use vacuum_packing::hsd::{HotSpotDetector, HsdConfig};
+use vacuum_packing::metrics::profile;
 use vacuum_packing::program::Layout;
 use vacuum_packing::sim::{MachineConfig, TimingModel};
 
-/// Maximum tolerated drop of the normalized batched-replay throughput
-/// before the baseline check fails (CI gate).
+/// Maximum tolerated drop of a gated row's events/sec below the committed
+/// baseline before the check fails (CI gate).
 const MAX_REGRESSION: f64 = 0.25;
+
+/// The rows whose absolute throughput is gated.
+const GATED_ROWS: [&str; 4] = ["replay_batched", "replay_sim", "replay_hsd", "replay_diff"];
 
 fn events_per_sec(results: &[bench::micro::BenchResult], name: &str) -> Option<f64> {
     results
@@ -111,11 +103,10 @@ fn main() {
     let machine = MachineConfig::table2();
     let mut r = bench::micro::runner();
     r.bench_throughput("retire_stream/execute", events, || {
-        let mut counts = InstCounts::new();
         Executor::new(&program, &layout)
-            .run(&mut counts, &cfg)
-            .unwrap();
-        counts.total
+            .run(|_| {}, &cfg)
+            .unwrap()
+            .retired
     });
     r.bench_throughput("retire_stream/capture", events, || {
         CapturedTrace::capture(&program, &layout, &cfg)
@@ -140,26 +131,9 @@ fn main() {
             .unwrap()
             .events()
     });
-    r.bench_throughput("retire_stream/replay_per_event", events, || {
-        let mut counts = InstCounts::new();
-        trace.replay_per_event(&mut counts);
-        counts.total
-    });
     r.bench_throughput("retire_stream/replay_batched", events, || {
         let mut counts = InstCounts::new();
         trace.replay(&mut counts);
-        counts.total
-    });
-    r.bench_throughput("retire_stream/replay_per_event_dyn", events, || {
-        let mut counts = InstCounts::new();
-        let mut sink: &mut dyn Sink = &mut counts;
-        trace.replay_per_event(&mut sink);
-        counts.total
-    });
-    r.bench_throughput("retire_stream/replay_batched_dyn", events, || {
-        let mut counts = InstCounts::new();
-        let mut sink: &mut dyn Sink = &mut counts;
-        trace.replay(&mut sink);
         counts.total
     });
     r.bench_throughput("retire_stream/replay_sim", events, || {
@@ -167,15 +141,27 @@ fn main() {
         tm.replay_trace(&trace);
         tm.cycles()
     });
-    r.bench_throughput("retire_stream/replay_sim_sink", events, || {
-        let mut tm = TimingModel::new(machine);
-        trace.replay(&mut tm);
-        tm.cycles()
-    });
     r.bench_throughput("retire_stream/replay_hsd", events, || {
         let mut hsd = HotSpotDetector::new(HsdConfig::table2());
         trace.replay(&mut hsd);
         hsd.branches_retired()
+    });
+    // One packed cell, built the way the untimed sweep builds it: profile,
+    // pack with the default configuration, natural layout.
+    let pw =
+        profile("300.twolf A", program.clone(), &HsdConfig::table2(), None).expect("profile twolf");
+    let out = pack(&pw.program, &pw.layout, &pw.phases, &PackConfig::default());
+    let packed_layout = Layout::natural(&out.program);
+    let packed = CapturedTrace::capture(&out.program, &packed_layout, &cfg).unwrap();
+    let map = out.identity_map();
+    let diff_events = pw.trace.events() + packed.events();
+    let opts = DiffOptions::default();
+    assert!(
+        diff_traces(&pw.trace, &packed, &map, &opts).is_clean(),
+        "packed twolf cell must diff clean"
+    );
+    r.bench_throughput("retire_stream/replay_diff", diff_events, || {
+        diff_traces(&pw.trace, &packed, &map, &opts).aligned_visits
     });
     r.bench_throughput("retire_stream/disk_load", events, || {
         tier.load(&key).expect("warm load").events()
@@ -195,13 +181,10 @@ fn main() {
         "execute",
         "capture",
         "capture_fast",
-        "replay_per_event",
         "replay_batched",
-        "replay_per_event_dyn",
-        "replay_batched_dyn",
         "replay_sim",
-        "replay_sim_sink",
         "replay_hsd",
+        "replay_diff",
         "disk_load",
         "disk_load_mmap",
         "disk_load_owned",
@@ -221,23 +204,6 @@ fn main() {
             .and_then(|(_, v)| *v)
             .unwrap_or(0.0)
     };
-    let speedup = if get("replay_per_event") > 0.0 {
-        get("replay_batched") / get("replay_per_event")
-    } else {
-        0.0
-    };
-    let speedup_dyn = if get("replay_per_event_dyn") > 0.0 {
-        get("replay_batched_dyn") / get("replay_per_event_dyn")
-    } else {
-        0.0
-    };
-    if get("replay_batched") > 0.0 {
-        println!(
-            "batched/per-event: {speedup:.2}x monomorphized, {speedup_dyn:.2}x across an \
-             opaque sink boundary"
-        );
-    }
-
     // ------------------------------------------------- JSON baseline out
     // The body is built unconditionally: VP_BENCH_JSON writes it to a
     // file, VP_HISTORY_DIR ingests it into the run-history warehouse.
@@ -255,13 +221,7 @@ fn main() {
             let comma = if i + 1 == eps.len() { "" } else { "," };
             body.push_str(&format!("    \"{name}\": {:.0}{comma}\n", v.unwrap_or(0.0)));
         }
-        body.push_str("  },\n");
-        body.push_str(&format!(
-            "  \"batched_speedup_vs_per_event\": {speedup:.4},\n"
-        ));
-        body.push_str(&format!(
-            "  \"batched_speedup_vs_per_event_dyn\": {speedup_dyn:.4}\n"
-        ));
+        body.push_str("  }\n");
         body.push_str("}\n");
         body
     };
@@ -285,34 +245,31 @@ fn main() {
         .unwrap_or_default();
 
     // --------------------------------------------- baseline check (CI)
-    // Absolute events/sec depends on the host; both gates compare the
-    // batched/per-event ratio, which is measured inside a single run on
-    // both sides and so cancels machine speed. With enough warehoused
+    // Absolute events/sec of each gated row. With enough warehoused
     // history the floor is the median − max(3·MAD, 10%) band of the last
-    // K runs; otherwise the committed baseline's single value − 25%.
+    // K runs; otherwise the committed baseline's value − 25%.
     let mut failed = false;
     let baseline_text = std::env::var("VP_BENCH_BASELINE").ok().map(|path| {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("VP_BENCH_BASELINE={path}: {e}"));
         (path, text)
     });
-    for (label, current, field) in [
-        ("batched/per-event", speedup, "batched_speedup_vs_per_event"),
-        (
-            "batched/per-event (dyn)",
-            speedup_dyn,
-            "batched_speedup_vs_per_event_dyn",
-        ),
-    ] {
-        let spec = format!("metric:{field}");
+    for row in GATED_ROWS {
+        let current = get(row) / 1e6;
+        if current == 0.0 {
+            // Filtered out of this run: nothing to gate.
+            continue;
+        }
+        let spec = format!("metric:eps.{row}");
         if let Some(band) = bench::history::gate_band(&hist_records, &spec) {
             use bench::history::{GATE_K, GATE_MIN_REL};
-            let floor = band.floor(GATE_K, GATE_MIN_REL);
+            let floor = band.floor(GATE_K, GATE_MIN_REL) / 1e6;
             let verdict = if current < floor { "FAIL" } else { "ok" };
             println!(
-                "history gate {label}: current {current:.2}x vs median {:.2}x of last {} \
-                 runs (floor {floor:.2}x) ... {verdict}",
-                band.median, band.n
+                "history gate {row}: current {current:.1} Mev/s vs median {:.1} of last {} \
+                 runs (floor {floor:.1}) ... {verdict}",
+                band.median / 1e6,
+                band.n
             );
             failed |= current < floor;
             continue;
@@ -320,15 +277,15 @@ fn main() {
         let Some((path, text)) = &baseline_text else {
             continue;
         };
-        let Some(base) = json_number(text, field) else {
-            println!("baseline {path} lacks {field}; skipping that check");
+        let Some(base) = json_number(text, row).map(|v| v / 1e6) else {
+            println!("baseline {path} lacks {row}; skipping that check");
             continue;
         };
         let floor = base * (1.0 - MAX_REGRESSION);
         let verdict = if current < floor { "FAIL" } else { "ok" };
         println!(
-            "baseline check {label}: current {current:.2}x vs committed {base:.2}x \
-             (floor {floor:.2}x) ... {verdict}"
+            "baseline check {row}: current {current:.1} Mev/s vs committed {base:.1} \
+             (floor {floor:.1}) ... {verdict}"
         );
         failed |= current < floor;
     }

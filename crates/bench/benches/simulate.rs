@@ -15,25 +15,20 @@ fn main() {
     });
     let p = pb.build();
     let layout = Layout::natural(&p);
-    let insts = {
-        let mut counts = InstCounts::new();
-        Executor::new(&p, &layout)
-            .run(&mut counts, &RunConfig::default())
-            .unwrap();
-        counts.total
-    };
+    let insts = Executor::new(&p, &layout)
+        .run(|_| {}, &RunConfig::default())
+        .unwrap()
+        .retired;
 
     let mut r = bench::micro::runner();
     r.bench_throughput("simulate/functional", insts, || {
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default())
-            .unwrap()
-            .retired
+        ex.run(|_| {}, &RunConfig::default()).unwrap().retired
     });
     r.bench_throughput("simulate/functional+timing", insts, || {
         let mut timing = TimingModel::new(MachineConfig::table2());
         Executor::new(&p, &layout)
-            .run(&mut timing, &RunConfig::default())
+            .run(|r| timing.retire_one(r), &RunConfig::default())
             .unwrap();
         timing.cycles()
     });

@@ -21,9 +21,9 @@ fn main() {
     };
     let layout = Layout::natural(&w.program);
     let mut hsd = HotSpotDetector::new(HsdConfig::table2());
-    let stats = Executor::new(&w.program, &layout)
-        .run(&mut hsd, &RunConfig::default())
-        .expect("workload runs");
+    let stats = CapturedTrace::capture(&w.program, &layout, &RunConfig::default())
+        .expect("workload runs")
+        .replay(&mut hsd);
     let (phases, assignment) = assign_phases(hsd.records(), &FilterConfig::default());
 
     println!(

@@ -340,8 +340,14 @@ mod tests {
             vp_trace::scoped(|| {
                 barrier.wait();
                 let mut counts = InstCounts::new();
-                let stats = store
-                    .capture_or_replay(key.clone(), &workload.program, &layout, &cfg, &mut counts)
+                let (_, stats) = store
+                    .capture_or_replay_shared(
+                        key.clone(),
+                        &workload.program,
+                        &layout,
+                        &cfg,
+                        &mut counts,
+                    )
                     .expect("workload runs");
                 (stats.retired, counts.total, counts.cond_branches)
             })

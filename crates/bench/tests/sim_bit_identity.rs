@@ -1,16 +1,16 @@
-//! Pins the observational equivalence of every timing-model replay path.
+//! Pins the replayed timing model and hot-spot detector to the live
+//! executor.
 //!
-//! The fused column kernel ([`Sink::retire_columns`]), the per-event
-//! reference path ([`Sink::retire`] → `retire_one`), and the fully fused
-//! decode+sim loop ([`TimingModel::replay_trace`]) are three different
-//! implementations of the same machine model. This test proves they
-//! produce bit-identical [`TimingStats`] and cycle counts on every
-//! workload of the Table 1 suite — the invariant that lets the replay
-//! harness and the sweep pick whichever path is fastest without changing
-//! any reported number. The hot-spot detector's column fast path is held
-//! to the same standard against its struct path.
+//! [`TimingModel::replay_trace`] runs the fused column step over the one
+//! replay loop; [`TimingModel::retire_one`] is the struct-form reference
+//! model. This test drives the reference model (and the detector's
+//! `observe`) from the live executor stream during capture, then replays
+//! the capture, and proves the two produce bit-identical [`TimingStats`],
+//! cycle counts and detector records on every workload of the Table 1
+//! suite — the invariant that lets the harness time and profile from
+//! captures without changing any reported number.
 
-use vacuum_packing::exec::{CapturedTrace, RunConfig};
+use vacuum_packing::exec::{Executor, RunConfig, TraceRecorder};
 use vacuum_packing::hsd::{HotSpotDetector, HsdConfig};
 use vacuum_packing::program::Layout;
 use vacuum_packing::sim::{MachineConfig, TimingModel};
@@ -24,55 +24,49 @@ fn all_sim_replay_paths_are_bit_identical_across_the_suite() {
     for w in &workloads {
         let layout = Layout::natural(&w.program);
         let cfg = RunConfig::default();
-        let trace = CapturedTrace::capture(&w.program, &layout, &cfg).expect("capture");
 
-        // Reference: the pre-batching per-event path through `retire_one`.
-        let mut per_event = TimingModel::new(machine);
-        trace.replay_per_event(&mut per_event);
+        // Live: the reference timing model and detector ride the
+        // recording run.
+        let mut live_tm = TimingModel::new(machine);
+        let mut live_hsd = HotSpotDetector::new(HsdConfig::default());
+        let mut rec = TraceRecorder::new();
+        let stats = Executor::new(&w.program, &layout)
+            .run(
+                |r| {
+                    rec.record(r);
+                    live_tm.retire_one(r);
+                    if let Some(c) = r.ctrl.filter(|c| c.is_cond) {
+                        live_hsd.observe(r.addr, c.arch_taken);
+                    }
+                },
+                &cfg,
+            )
+            .expect("live run");
+        let trace = rec.finish(stats);
 
-        // Batched column kernel at the default chunking.
-        let mut batched = TimingModel::new(machine);
-        trace.replay(&mut batched);
-
-        // Batched column kernel at a deliberately odd chunk size, so
-        // chunk-boundary state carry (fetch group, issue counts,
-        // scoreboard) is exercised mid-pattern.
-        let mut odd = TimingModel::new(machine);
-        trace.replay_batched(&mut odd, 7);
-
-        // Fully fused decode+sim loop.
-        let mut fused = TimingModel::new(machine);
-        fused.replay_trace(&trace);
+        // Replayed: fresh consumers fed from the capture.
+        let mut tm = TimingModel::new(machine);
+        let replay_stats = tm.replay_trace(&trace);
+        let mut hsd = HotSpotDetector::new(HsdConfig::default());
+        trace.replay(&mut hsd);
 
         let label = w.label();
+        assert_eq!(stats, replay_stats, "{label}: RunStats");
         assert_eq!(
-            per_event.stats(),
-            batched.stats(),
-            "{label}: batched column kernel diverged from per-event"
+            live_tm.stats(),
+            tm.stats(),
+            "{label}: replayed timing model diverged from retire_one driven live"
+        );
+        assert_eq!(live_tm.cycles(), tm.cycles(), "{label}: cycles");
+        assert_eq!(
+            live_hsd.records(),
+            hsd.records(),
+            "{label}: replayed detector diverged from observe driven live"
         );
         assert_eq!(
-            per_event.stats(),
-            odd.stats(),
-            "{label}: chunk-boundary carry diverged from per-event"
-        );
-        assert_eq!(
-            per_event.stats(),
-            fused.stats(),
-            "{label}: fused decode+sim loop diverged from per-event"
-        );
-        assert_eq!(per_event.cycles(), batched.cycles(), "{label}: cycles");
-        assert_eq!(per_event.cycles(), fused.cycles(), "{label}: cycles");
-
-        // Hot-spot detector: the conditional-branch column fast path must
-        // surface the same detections as the struct path.
-        let mut hsd_struct = HotSpotDetector::new(HsdConfig::default());
-        trace.replay_per_event(&mut hsd_struct);
-        let mut hsd_cols = HotSpotDetector::new(HsdConfig::default());
-        trace.replay(&mut hsd_cols);
-        assert_eq!(
-            hsd_struct.records(),
-            hsd_cols.records(),
-            "{label}: HSD column path diverged from struct path"
+            live_hsd.branches_retired(),
+            hsd.branches_retired(),
+            "{label}: detector branch count"
         );
     }
 }

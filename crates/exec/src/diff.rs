@@ -40,7 +40,7 @@
 //! such configurations.
 
 use crate::trace_store::CapturedTrace;
-use crate::{Retired, Sink, StopReason};
+use crate::{col, ColEvent, Sink, StopReason};
 use std::collections::BTreeMap;
 use std::fmt;
 use vp_isa::{CodeRef, FuncId};
@@ -385,8 +385,9 @@ impl<'m> VisitBuilder<'m> {
 }
 
 impl Sink for VisitBuilder<'_> {
-    fn retire(&mut self, r: &Retired) {
-        let (origin, package, phase) = match self.map.and_then(|m| m.lookup(r.loc)) {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        let (origin, package, phase) = match self.map.and_then(|m| m.lookup(e.loc)) {
             Some(id) if id.is_stub => {
                 self.stub_events += 1;
                 self.dropped_run += 1;
@@ -398,7 +399,7 @@ impl Sink for VisitBuilder<'_> {
                 return;
             }
             Some(id) => (id.origin, Some(id.package), Some(id.phase)),
-            None => (r.loc, None, None),
+            None => (e.loc, None, None),
         };
 
         // Package residency and migration tracking (event granularity).
@@ -426,8 +427,8 @@ impl Sink for VisitBuilder<'_> {
         }
         self.dropped_run = 0;
 
-        let is_ctrl = r.ctrl.is_some();
-        let cond = u64::from(r.ctrl.is_some_and(|c| c.is_cond));
+        let is_ctrl = e.flags & col::CTRL != 0;
+        let cond = u64::from(e.flags & col::COND != 0);
         // Unconditional control events are layout artifacts, not work: a
         // `Goto` retires an event when encoded as a jump and nothing when
         // its target is the fall-through, so whether an *empty* block
@@ -440,9 +441,11 @@ impl Sink for VisitBuilder<'_> {
         // Fold the memory address in order-independently: in-block
         // rescheduling reorders loads/stores without changing their
         // effective addresses.
-        let mem = r.mem_addr.map_or(0, |a| {
-            a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(r.is_store)
-        });
+        let mem = if e.flags & col::MEM != 0 {
+            e.mem.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(e.flags & col::STORE != 0)
+        } else {
+            0
+        };
 
         match self.visits.last_mut() {
             // Merge into the open visit of the same origin. Merging is on
@@ -462,46 +465,6 @@ impl Sink for VisitBuilder<'_> {
                 package,
                 phase,
             }),
-        }
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // The mapped side is a sequential state machine (dropped-run
-        // counters, residency tracking) — the default per-event fold is
-        // already the right shape there. Without an identity map (the
-        // original side of every diff) no event is ever dropped and the
-        // package machinery never fires, so only the visit fold remains:
-        // specialize that path.
-        if self.map.is_some() {
-            for r in batch {
-                self.retire(r);
-            }
-            return;
-        }
-        for r in batch {
-            let is_ctrl = r.ctrl.is_some();
-            let cond = u64::from(r.ctrl.is_some_and(|c| c.is_cond));
-            if is_ctrl && cond == 0 {
-                continue;
-            }
-            let mem = r.mem_addr.map_or(0, |a| {
-                a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(r.is_store)
-            });
-            match self.visits.last_mut() {
-                Some(v) if v.origin == r.loc => {
-                    v.plain += u64::from(!is_ctrl);
-                    v.cond += cond;
-                    v.mem = v.mem.wrapping_add(mem);
-                }
-                _ => self.visits.push(Visit {
-                    origin: r.loc,
-                    plain: u64::from(!is_ctrl),
-                    cond,
-                    mem,
-                    package: None,
-                    phase: None,
-                }),
-            }
         }
     }
 }
@@ -744,19 +707,7 @@ mod tests {
         // Replay a hand-rolled stream through the builder: one original
         // block, then an exit block, then a stub.
         let mut b = VisitBuilder::new(None);
-        let ev = crate::event::Retired {
-            loc: CodeRef::new(0, 0),
-            addr: 0,
-            fu: vp_isa::FuClass::IntAlu,
-            latency: 1,
-            def: None,
-            uses: [None; 3],
-            mem_addr: None,
-            is_store: false,
-            ctrl: None,
-            in_package: false,
-        };
-        b.retire(&ev);
+        b.retire(ColEvent::plain(CodeRef::new(0, 0), 0));
         assert_eq!(b.visits.len(), 1);
 
         let mut map = IdentityMap::new();
@@ -780,12 +731,8 @@ mod tests {
             ],
         );
         let mut pbuild = VisitBuilder::new(Some(&map));
-        let mut exit_ev = ev;
-        exit_ev.loc = CodeRef::new(9, 0);
-        pbuild.retire(&exit_ev);
-        let mut stub_ev = ev;
-        stub_ev.loc = CodeRef::new(9, 1);
-        pbuild.retire(&stub_ev);
+        pbuild.retire(ColEvent::plain(CodeRef::new(9, 0), 0));
+        pbuild.retire(ColEvent::plain(CodeRef::new(9, 1), 0));
         pbuild.finish();
         assert_eq!(pbuild.visits.len(), 0);
         assert_eq!(pbuild.exit_events, 1);

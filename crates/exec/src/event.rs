@@ -55,13 +55,11 @@ pub struct Retired {
     pub in_package: bool,
 }
 
-/// Per-event flag bits and field packing for the [`ColumnBatch`] views.
+/// Per-event flag bits and field packing of the [`ColEvent`] form.
 ///
-/// The batched replay kernel can split each decoded chunk into compact
-/// per-column arrays so hot sinks (the timing model, the hot-spot
-/// detector) read a handful of flat `u8`/`u64` columns instead of chasing
-/// `Option`s through 80-byte [`Retired`] records. This module defines the
-/// column encoding; [`ColumnBatch`] carries the views.
+/// Replay hands every consumer a [`ColEvent`]: a handful of flat `u8`/`u64`
+/// fields instead of the 80-byte [`Retired`] record with its `Option`s.
+/// This module defines that encoding.
 pub mod col {
     use super::{FuClass, Retired, NUM_REGS};
 
@@ -103,8 +101,8 @@ pub mod col {
     /// Mask for the latency field once shifted down by [`LATENCY_SHIFT`].
     pub const LATENCY_MASK: u64 = (1 << 29) - 1;
     /// Bit offset of the `Retired::in_package` flag — the static bit the
-    /// 8-bit flag column has no room for, carried in the exec word's top
-    /// bit so columns-only sinks can count package residency.
+    /// 8-bit flag byte has no room for, carried in the exec word's top
+    /// bit so sinks can count package residency.
     pub const IN_PACKAGE_SHIFT: u32 = 63;
     /// Mask for one register field (8 bits).
     pub const REG_MASK: u64 = 0xff;
@@ -139,8 +137,8 @@ pub mod col {
             | u64::from(r.in_package) << IN_PACKAGE_SHIFT
     }
 
-    /// Derives the flag byte for one event (the view a column decoder
-    /// produces; also the reference the equivalence tests pin against).
+    /// Derives the flag byte for one event (part of the definitional
+    /// [`ColEvent`](super::ColEvent) mapping).
     pub fn pack_flags(r: &Retired) -> u8 {
         let mut f = 0;
         if r.mem_addr.is_some() {
@@ -171,56 +169,25 @@ pub mod col {
     }
 }
 
-/// Column views over one decoded replay chunk.
+/// One retired instruction in the form every [`Sink`] consumes, passed by
+/// value.
 ///
-/// Produced by the batched replay kernel when the sink opts in through
-/// [`Sink::wants_columns`]. All column slices have the same length; `events`
-/// holds the equivalent [`Retired`] records so column-oblivious sinks (and
-/// tuple members that did not opt in) can fall back to the struct path.
-///
-/// Column semantics per event `i`:
-/// * `flags[i]` — [`col`] bits;
-/// * `addr[i]` — fetch address;
-/// * `exec[i]` — packed sources/destination/FU/latency ([`col::pack_exec`]);
-/// * `mem[i]` — effective memory address, 0 unless [`col::MEM`];
-/// * `target[i]` — for returns the decoded return target, for calls the
-///   return address pushed on the RAS, for other control transfers the
+/// Field semantics:
+/// * `flags` — [`col`] bits;
+/// * `addr` — fetch address;
+/// * `exec` — packed sources/destination/FU/latency/package residency
+///   ([`col::pack_exec`]);
+/// * `mem` — effective memory address, 0 unless [`col::MEM`];
+/// * `target` — for returns the return target, for calls the return
+///   address pushed on the RAS, for other control transfers the
 ///   architectural target; 0 for non-control events. The three cases are
-///   disjoint under the consumer priority `COND` → `RET` → `CALL`.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnBatch<'a> {
-    /// The decoded events, for struct-path fallback consumers.
-    pub events: &'a [Retired],
-    /// Per-event [`col`] flag bytes.
-    pub flags: &'a [u8],
-    /// Per-event fetch addresses.
-    pub addr: &'a [u64],
-    /// Per-event packed exec words.
-    pub exec: &'a [u64],
-    /// Per-event effective memory addresses.
-    pub mem: &'a [u64],
-    /// Per-event control-transfer auxiliary addresses.
-    pub target: &'a [u64],
-}
-
-impl ColumnBatch<'_> {
-    /// Number of events in the chunk.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Whether the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-}
-
-/// One decoded event in column form, passed by value (five registers) to
-/// the closure of [`CapturedTrace::replay_events_with`]. Field semantics
-/// match the [`ColumnBatch`] columns of the same names.
+///   disjoint under the consumer priority `COND` → `RET` → `CALL`;
+/// * `loc` — the block the instruction belongs to.
 ///
-/// [`CapturedTrace::replay_events_with`]: crate::CapturedTrace::replay_events_with
-#[derive(Debug, Clone, Copy)]
+/// `From<&Retired>` is the definitional mapping: replaying a
+/// [`CapturedTrace`](crate::CapturedTrace) yields exactly the live
+/// executor's events mapped through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColEvent {
     /// [`col`] flag bits.
     pub flags: u8,
@@ -230,158 +197,101 @@ pub struct ColEvent {
     pub exec: u64,
     /// Effective memory address, 0 unless [`col::MEM`].
     pub mem: u64,
-    /// Control-transfer auxiliary address (see [`ColumnBatch::target`]).
+    /// Control-transfer auxiliary address (see the type docs).
     pub target: u64,
+    /// Block the instruction belongs to.
+    pub loc: CodeRef,
 }
 
-/// Consumer of the retired stream.
-///
-/// Sinks compose with tuples: `(&mut hsd, &mut counts)` style composition is
-/// provided through the tuple implementation.
-pub trait Sink {
-    /// Observes one retired instruction.
-    fn retire(&mut self, r: &Retired);
-
-    /// Observes a chunk of consecutive retired instructions.
-    ///
-    /// The batched replay kernel ([`CapturedTrace::replay`]) decodes into a
-    /// reusable chunk buffer and hands whole chunks to the sink through this
-    /// method. The default forwards event by event, so existing sinks keep
-    /// working unchanged; hot consumers override it with a tight loop that
-    /// hoists per-call setup out of the per-event path. Overrides must be
-    /// observationally identical to the default: same events, same order.
-    ///
-    /// [`CapturedTrace::replay`]: crate::CapturedTrace::replay
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        for r in batch {
-            self.retire(r);
+impl From<&Retired> for ColEvent {
+    fn from(r: &Retired) -> ColEvent {
+        let target = match &r.ctrl {
+            None => 0,
+            // Calls carry the RAS return address; their jump target is a
+            // function of the address and never read by consumers.
+            Some(c) if c.is_call && !c.is_cond && !c.is_ret => c.ret_addr,
+            Some(c) => c.target,
+        };
+        ColEvent {
+            flags: col::pack_flags(r),
+            addr: r.addr,
+            exec: col::pack_exec(r),
+            mem: r.mem_addr.unwrap_or(0),
+            target,
+            loc: r.loc,
         }
     }
+}
 
-    /// Whether this sink prefers the column-split chunk form.
-    ///
-    /// When any sink in the composition returns `true`, the batched replay
-    /// kernel additionally splits each decoded chunk into [`ColumnBatch`]
-    /// views and dispatches through [`Sink::retire_columns`] instead of
-    /// [`Sink::retire_batch`]. The default is `false`.
-    fn wants_columns(&self) -> bool {
-        false
+impl ColEvent {
+    /// A synthetic single-cycle ALU instruction at `addr` in block `loc`,
+    /// for unit tests of sinks.
+    pub fn plain(loc: CodeRef, addr: u64) -> ColEvent {
+        ColEvent::from(&Retired {
+            loc,
+            addr,
+            fu: FuClass::IntAlu,
+            latency: 1,
+            def: None,
+            uses: [None; 3],
+            mem_addr: None,
+            is_store: false,
+            ctrl: None,
+            in_package: false,
+        })
     }
 
-    /// Observes a chunk in column-split form.
-    ///
-    /// Only called when [`Sink::wants_columns`] returned `true` somewhere in
-    /// the sink composition. The default falls back to the struct path over
-    /// `b.events`, so sinks that never opted in behave identically inside a
-    /// tuple with one that did. Overrides must be observationally identical
-    /// to the default.
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        self.retire_batch(b.events);
-    }
-
-    /// Whether this sink (and, for tuples, every member) reads only the
-    /// column views, never [`ColumnBatch::events`].
-    ///
-    /// When the whole composition returns `true`, the replay kernel skips
-    /// materializing the `Retired` struct form entirely and hands over a
-    /// [`ColumnBatch`] whose `events` slice is empty. Only return `true`
-    /// from a sink whose [`Sink::retire_columns`] override ignores
-    /// `events`; the default is `false`.
-    fn columns_only(&self) -> bool {
-        false
+    /// A synthetic conditional branch at `addr` in block `loc`, taken (in
+    /// both the architectural and the encoded sense) when `taken`, for
+    /// unit tests of sinks.
+    pub fn cond_branch(loc: CodeRef, addr: u64, taken: bool) -> ColEvent {
+        ColEvent::from(&Retired {
+            loc,
+            addr,
+            fu: FuClass::Branch,
+            latency: 1,
+            def: None,
+            uses: [None; 3],
+            mem_addr: None,
+            is_store: false,
+            ctrl: Some(Ctrl {
+                block: loc,
+                is_cond: true,
+                arch_taken: taken,
+                taken,
+                is_call: false,
+                is_ret: false,
+                target: 0,
+                ret_addr: 0,
+            }),
+            in_package: false,
+        })
     }
 }
 
-/// A sink that discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn retire(&mut self, _r: &Retired) {}
-
-    fn retire_batch(&mut self, _batch: &[Retired]) {}
-
-    fn retire_columns(&mut self, _b: &ColumnBatch<'_>) {}
-
-    fn columns_only(&self) -> bool {
-        true
-    }
+/// Consumer of the retired stream: one method, one event at a time.
+///
+/// [`CapturedTrace::replay`](crate::CapturedTrace::replay) is the only
+/// producer; it is generic over the sink, so `retire` inlines into the
+/// decode loop. Sinks compose with tuples: `(&mut hsd, &mut counts)` feeds
+/// both members every event, in order.
+pub trait Sink {
+    /// Observes one retired instruction.
+    fn retire(&mut self, e: ColEvent);
 }
 
 impl<S: Sink + ?Sized> Sink for &mut S {
-    fn retire(&mut self, r: &Retired) {
-        (**self).retire(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        (**self).retire_batch(batch);
-    }
-
-    fn wants_columns(&self) -> bool {
-        (**self).wants_columns()
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        (**self).retire_columns(b);
-    }
-
-    fn columns_only(&self) -> bool {
-        (**self).columns_only()
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        (**self).retire(e);
     }
 }
 
 impl<A: Sink, B: Sink> Sink for (A, B) {
-    fn retire(&mut self, r: &Retired) {
-        self.0.retire(r);
-        self.1.retire(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        self.0.retire_batch(batch);
-        self.1.retire_batch(batch);
-    }
-
-    fn wants_columns(&self) -> bool {
-        self.0.wants_columns() || self.1.wants_columns()
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        // Each member picks its own form: opted-in members get the
-        // columns, the rest fall through their default to `b.events`.
-        self.0.retire_columns(b);
-        self.1.retire_columns(b);
-    }
-
-    fn columns_only(&self) -> bool {
-        self.0.columns_only() && self.1.columns_only()
-    }
-}
-
-impl<A: Sink, B: Sink, C: Sink> Sink for (A, B, C) {
-    fn retire(&mut self, r: &Retired) {
-        self.0.retire(r);
-        self.1.retire(r);
-        self.2.retire(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        self.0.retire_batch(batch);
-        self.1.retire_batch(batch);
-        self.2.retire_batch(batch);
-    }
-
-    fn wants_columns(&self) -> bool {
-        self.0.wants_columns() || self.1.wants_columns() || self.2.wants_columns()
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        self.0.retire_columns(b);
-        self.1.retire_columns(b);
-        self.2.retire_columns(b);
-    }
-
-    fn columns_only(&self) -> bool {
-        self.0.columns_only() && self.1.columns_only() && self.2.columns_only()
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        self.0.retire(e);
+        self.1.retire(e);
     }
 }
 
@@ -419,69 +329,16 @@ impl InstCounts {
 }
 
 impl Sink for InstCounts {
-    fn retire(&mut self, r: &Retired) {
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        // Branch-free accumulation: everything counted lives in the flag
+        // byte plus the exec word's in-package bit. `COND` and `TAKEN`
+        // imply `CTRL` in the encoding.
         self.total += 1;
-        if r.in_package {
-            self.in_package += 1;
-        }
-        if r.mem_addr.is_some() {
-            self.mem_ops += 1;
-        }
-        if let Some(c) = &r.ctrl {
-            if c.is_cond {
-                self.cond_branches += 1;
-            }
-            if c.taken {
-                self.taken_transfers += 1;
-            }
-        }
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // Branch-free accumulation into locals; the per-field conversions
-        // vectorize where the per-event `if` ladder does not.
-        let (mut in_package, mut cond, mut taken, mut mem) = (0u64, 0u64, 0u64, 0u64);
-        for r in batch {
-            in_package += u64::from(r.in_package);
-            mem += u64::from(r.mem_addr.is_some());
-            if let Some(c) = &r.ctrl {
-                cond += u64::from(c.is_cond);
-                taken += u64::from(c.taken);
-            }
-        }
-        self.total += batch.len() as u64;
-        self.in_package += in_package;
-        self.mem_ops += mem;
-        self.cond_branches += cond;
-        self.taken_transfers += taken;
-    }
-
-    fn wants_columns(&self) -> bool {
-        true
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        // Everything this sink counts lives in the flag byte plus the
-        // exec word's in-package bit, so the whole chunk reduces without
-        // touching (or materializing) the 80-byte struct form. `COND` and
-        // `TAKEN` imply `CTRL` in the column encoding, matching the
-        // struct path's ladder through `ctrl`.
-        let (mut in_package, mut cond, mut taken, mut mem) = (0u64, 0u64, 0u64, 0u64);
-        for (&f, &e) in b.flags.iter().zip(b.exec) {
-            in_package += e >> col::IN_PACKAGE_SHIFT;
-            mem += u64::from(f & col::MEM != 0);
-            cond += u64::from(f & col::COND != 0);
-            taken += u64::from(f & col::TAKEN != 0);
-        }
-        self.total += b.len() as u64;
-        self.in_package += in_package;
-        self.mem_ops += mem;
-        self.cond_branches += cond;
-        self.taken_transfers += taken;
-    }
-
-    fn columns_only(&self) -> bool {
-        true
+        self.in_package += e.exec >> col::IN_PACKAGE_SHIFT;
+        self.mem_ops += u64::from(e.flags & col::MEM != 0);
+        self.cond_branches += u64::from(e.flags & col::COND != 0);
+        self.taken_transfers += u64::from(e.flags & col::TAKEN != 0);
     }
 }
 
@@ -504,14 +361,60 @@ mod tests {
         }
     }
 
+    fn ctrl(is_cond: bool, is_call: bool, is_ret: bool, taken: bool) -> Ctrl {
+        Ctrl {
+            block: CodeRef::new(0, 0),
+            is_cond,
+            arch_taken: taken,
+            taken,
+            is_call,
+            is_ret,
+            target: 0x3000,
+            ret_addr: 0x1008,
+        }
+    }
+
     #[test]
     fn counts_accumulate() {
         let mut c = InstCounts::new();
-        c.retire(&dummy(false));
-        c.retire(&dummy(true));
+        c.retire(ColEvent::from(&dummy(false)));
+        c.retire(ColEvent::from(&dummy(true)));
         assert_eq!(c.total, 2);
         assert_eq!(c.in_package, 1);
         assert!((c.package_coverage() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn column_counts_match_struct_counts() {
+        // Plain, in-package, a load, both directions of a conditional
+        // branch, and a taken unconditional jump.
+        let mut load = dummy(true);
+        load.mem_addr = Some(0x2000);
+        let mut events = vec![dummy(false), dummy(true), load];
+        for taken in [false, true] {
+            let mut br = dummy(false);
+            br.ctrl = Some(ctrl(true, false, false, taken));
+            events.push(br);
+        }
+        let mut jump = dummy(false);
+        jump.ctrl = Some(ctrl(false, false, false, true));
+        events.push(jump);
+
+        let mut via_cols = InstCounts::new();
+        for r in &events {
+            via_cols.retire(ColEvent::from(r));
+        }
+        // The same counts read off the struct fields.
+        let count = |f: &dyn Fn(&Retired) -> bool| events.iter().filter(|r| f(r)).count() as u64;
+        let via_struct = InstCounts {
+            total: events.len() as u64,
+            in_package: count(&|r| r.in_package),
+            cond_branches: count(&|r| r.ctrl.is_some_and(|c| c.is_cond)),
+            taken_transfers: count(&|r| r.ctrl.is_some_and(|c| c.taken)),
+            mem_ops: count(&|r| r.mem_addr.is_some()),
+        };
+        assert_eq!(via_cols, via_struct);
+        assert_eq!(via_cols.taken_transfers, 2);
     }
 
     #[test]
@@ -522,7 +425,7 @@ mod tests {
     #[test]
     fn tuple_sink_fans_out() {
         let mut pair = (InstCounts::new(), InstCounts::new());
-        pair.retire(&dummy(false));
+        pair.retire(ColEvent::from(&dummy(false)));
         assert_eq!(pair.0.total, 1);
         assert_eq!(pair.1.total, 1);
     }
@@ -542,44 +445,38 @@ mod tests {
     }
 
     #[test]
-    fn column_counts_match_struct_counts() {
-        // A batch exercising every counted property: plain, in-package,
-        // load, and both directions of a conditional branch.
-        let mut batch = vec![dummy(false), dummy(true)];
-        let mut load = dummy(true);
-        load.mem_addr = Some(0x2000);
-        batch.push(load);
-        for taken in [false, true] {
-            let mut br = dummy(false);
-            br.ctrl = Some(Ctrl {
-                block: CodeRef::new(0, 0),
-                is_cond: true,
-                is_call: false,
-                is_ret: false,
-                taken,
-                arch_taken: taken,
-                target: 0x3000,
-                ret_addr: 0,
-            });
-            batch.push(br);
-        }
+    fn col_event_target_follows_the_documented_rule() {
+        let target_of = |c: Option<Ctrl>| {
+            let mut r = dummy(false);
+            r.ctrl = c;
+            ColEvent::from(&r).target
+        };
+        assert_eq!(target_of(None), 0, "non-control");
+        assert_eq!(target_of(Some(ctrl(true, false, false, true))), 0x3000);
+        assert_eq!(target_of(Some(ctrl(false, false, true, true))), 0x3000);
+        assert_eq!(target_of(Some(ctrl(false, false, false, true))), 0x3000);
+        assert_eq!(
+            target_of(Some(ctrl(false, true, false, true))),
+            0x1008,
+            "calls carry the RAS return address"
+        );
+    }
 
-        let mut via_struct = InstCounts::new();
-        via_struct.retire_batch(&batch);
-
-        let flags: Vec<u8> = batch.iter().map(col::pack_flags).collect();
-        let exec: Vec<u64> = batch.iter().map(col::pack_exec).collect();
-        let zeros = vec![0u64; batch.len()];
-        let mut via_cols = InstCounts::new();
-        via_cols.retire_columns(&ColumnBatch {
-            events: &[],
-            flags: &flags,
-            addr: &zeros,
-            exec: &exec,
-            mem: &zeros,
-            target: &zeros,
-        });
-        assert_eq!(via_cols, via_struct, "column path must count identically");
-        assert!(via_cols.columns_only(), "InstCounts never reads the events");
+    #[test]
+    fn synthetic_constructors_match_their_retired_shape() {
+        let loc = CodeRef::new(3, 4);
+        let b = ColEvent::cond_branch(loc, 0x40, true);
+        assert_eq!(b.loc, loc);
+        assert_eq!(b.addr, 0x40);
+        assert_eq!(
+            b.flags,
+            col::CTRL | col::COND | col::TAKEN | col::ARCH_TAKEN
+        );
+        assert_eq!(
+            ColEvent::cond_branch(loc, 0x40, false).flags,
+            col::CTRL | col::COND
+        );
+        let p = ColEvent::plain(loc, 0x44);
+        assert_eq!((p.flags, p.addr, p.loc), (0, 0x44, loc));
     }
 }

@@ -1,6 +1,6 @@
 //! The architectural interpreter.
 
-use crate::event::{Ctrl, Retired, Sink};
+use crate::event::{Ctrl, Retired};
 use crate::memory::Memory;
 use vp_isa::reg::NUM_REGS;
 use vp_isa::{AluOp, CodeRef, FaluOp, FuClass, Inst, Reg, Src, INST_BYTES};
@@ -78,8 +78,8 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Interprets a laid-out program, feeding every retired instruction to a
-/// [`Sink`].
+/// Interprets a laid-out program, handing every retired instruction to a
+/// callback — the trace recorder during capture, or a reference test.
 #[derive(Debug)]
 pub struct Executor<'p> {
     program: &'p Program,
@@ -138,25 +138,31 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Runs from the program entry until halt or a limit.
+    /// Runs from the program entry until halt or a limit, calling
+    /// `on_retire` for every retired instruction in order.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on a return with an empty call stack or on
     /// call-depth overflow.
-    pub fn run(&mut self, sink: &mut impl Sink, cfg: &RunConfig) -> Result<RunStats, ExecError> {
+    pub fn run(
+        &mut self,
+        on_retire: impl FnMut(&Retired),
+        cfg: &RunConfig,
+    ) -> Result<RunStats, ExecError> {
         let entry = self.program.func(self.program.entry).entry;
         self.run_from(
             CodeRef {
                 func: self.program.entry,
                 block: entry,
             },
-            sink,
+            on_retire,
             cfg,
         )
     }
 
-    /// Runs from an arbitrary code location until halt or a limit.
+    /// Runs from an arbitrary code location until halt or a limit, calling
+    /// `on_retire` for every retired instruction in order.
     ///
     /// # Errors
     ///
@@ -165,7 +171,7 @@ impl<'p> Executor<'p> {
     pub fn run_from(
         &mut self,
         start: CodeRef,
-        sink: &mut impl Sink,
+        mut on_retire: impl FnMut(&Retired),
         cfg: &RunConfig,
     ) -> Result<RunStats, ExecError> {
         let mut cur = start;
@@ -201,18 +207,13 @@ impl<'p> Executor<'p> {
                 if in_package {
                     stats.in_package += 1;
                 }
-                sink.retire(&ev);
+                on_retire(&ev);
             }
 
             // Terminator.
             let enc = self.layout.encoding(cur);
             let term_addr = base + block.insts.len() as u64 * INST_BYTES;
-            let emit_ctrl = |this: &Self,
-                             sink: &mut dyn Sink,
-                             stats: &mut RunStats,
-                             addr: u64,
-                             ctrl: Ctrl,
-                             uses: [Option<Reg>; 3]| {
+            let mut emit_ctrl = |addr: u64, ctrl: Ctrl, uses: [Option<Reg>; 3]| {
                 stats.retired += 1;
                 if in_package {
                     stats.in_package += 1;
@@ -220,8 +221,7 @@ impl<'p> Executor<'p> {
                 if ctrl.is_cond {
                     stats.cond_branches += 1;
                 }
-                let _ = this;
-                sink.retire(&Retired {
+                on_retire(&Retired {
                     loc: cur,
                     addr,
                     fu: FuClass::Branch,
@@ -239,9 +239,6 @@ impl<'p> Executor<'p> {
                 Terminator::Goto(t) => {
                     if enc == TermEncoding::Jump {
                         emit_ctrl(
-                            self,
-                            sink,
-                            &mut stats,
                             term_addr,
                             Ctrl {
                                 block: cur,
@@ -276,9 +273,6 @@ impl<'p> Executor<'p> {
                     };
                     let uses = [Some(*rs1), rs2.reg(), None];
                     emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
                         term_addr,
                         Ctrl {
                             block: cur,
@@ -296,9 +290,6 @@ impl<'p> Executor<'p> {
                     // executes an extra jump.
                     if enc == TermEncoding::BrJump && !arch {
                         emit_ctrl(
-                            self,
-                            sink,
-                            &mut stats,
                             term_addr + INST_BYTES,
                             Ctrl {
                                 block: cur,
@@ -329,9 +320,6 @@ impl<'p> Executor<'p> {
                         block: target.entry,
                     };
                     emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
                         term_addr,
                         Ctrl {
                             block: cur,
@@ -359,9 +347,6 @@ impl<'p> Executor<'p> {
                         block: *ret_to,
                     });
                     emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
                         term_addr,
                         Ctrl {
                             block: cur,
@@ -385,9 +370,6 @@ impl<'p> Executor<'p> {
                         return Err(ExecError::ReturnWithoutCall(cur));
                     };
                     emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
                         term_addr,
                         Ctrl {
                             block: cur,
@@ -405,9 +387,6 @@ impl<'p> Executor<'p> {
                 }
                 Terminator::Halt => {
                     emit_ctrl(
-                        self,
-                        sink,
-                        &mut stats,
                         term_addr,
                         Ctrl {
                             block: cur,
@@ -547,7 +526,7 @@ fn eval_falu(op: FaluOp, a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{InstCounts, NullSink};
+    use crate::event::{ColEvent, InstCounts, Sink};
     use vp_isa::Cond;
     use vp_program::ProgramBuilder;
 
@@ -557,9 +536,7 @@ mod tests {
         let p = pb.build();
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        let stats = ex
-            .run(&mut NullSink, &RunConfig::default())
-            .expect("run failed");
+        let stats = ex.run(|_| {}, &RunConfig::default()).expect("run failed");
         let r = [
             ex.reg(Reg::int(20)),
             ex.reg(Reg::int(21)),
@@ -673,7 +650,7 @@ mod tests {
         let p = pb.build();
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         assert_eq!(ex.reg(Reg::int(20)), 11);
         assert_eq!(ex.reg(Reg::int(21)), 11);
     }
@@ -705,7 +682,7 @@ mod tests {
         let p = pb.build();
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         assert_eq!(ex.reg_f64(Reg::fp(2)), 7.5);
     }
 
@@ -724,7 +701,7 @@ mod tests {
         let mut ex = Executor::new(&p, &layout);
         let stats = ex
             .run(
-                &mut NullSink,
+                |_| {},
                 &RunConfig {
                     max_insts: 1000,
                     max_depth: 10,
@@ -742,7 +719,7 @@ mod tests {
         let p = pb.build();
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        let err = ex.run(&mut NullSink, &RunConfig::default()).unwrap_err();
+        let err = ex.run(|_| {}, &RunConfig::default()).unwrap_err();
         assert!(matches!(err, ExecError::ReturnWithoutCall(_)));
     }
 
@@ -759,7 +736,8 @@ mod tests {
         let layout = Layout::natural(&p);
         let mut counts = InstCounts::new();
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut counts, &RunConfig::default()).unwrap();
+        ex.run(|r| counts.retire(ColEvent::from(r)), &RunConfig::default())
+            .unwrap();
         assert_eq!(counts.cond_branches, 5);
         assert!(counts.taken_transfers > 0);
     }
@@ -782,7 +760,6 @@ mod tests {
 #[cfg(test)]
 mod call_through_tests {
     use super::*;
-    use crate::event::NullSink;
     use vp_program::{Block, FuncKind, Function, Terminator};
 
     /// Builds: main calls pkg; pkg block0 CallThroughs into helper's
@@ -842,7 +819,7 @@ mod call_through_tests {
 
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        let stats = ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        let stats = ex.run(|_| {}, &RunConfig::default()).unwrap();
         assert_eq!(stats.stop, StopReason::Halted);
         assert_eq!(ex.reg(Reg::int(20)), 5, "entered helper at b1, not b0");
         assert_eq!(

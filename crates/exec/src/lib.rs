@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use vp_program::{ProgramBuilder, Layout};
-//! use vp_exec::{Executor, RunConfig, NullSink};
+//! use vp_exec::{Executor, RunConfig};
 //! use vp_isa::Reg;
 //!
 //! let mut pb = ProgramBuilder::new();
@@ -28,7 +28,7 @@
 //! let p = pb.build();
 //! let layout = Layout::natural(&p);
 //! let mut exec = Executor::new(&p, &layout);
-//! let stats = exec.run(&mut NullSink, &RunConfig::default())?;
+//! let stats = exec.run(|_| {}, &RunConfig::default())?;
 //! assert_eq!(exec.reg(Reg::int(8)), 42);
 //! assert_eq!(stats.retired, 3); // li, add, halt
 //! # Ok::<(), vp_exec::ExecError>(())
@@ -41,20 +41,24 @@
 //! oracles, the timing model — wants the *same* retired stream. The
 //! [`trace_store`] module decouples collection from consumption:
 //!
-//! 1. **Capture** once: [`CapturedTrace::capture`] (or `capture_with`, which
-//!    also feeds live sinks during the recording run) executes the program
+//! 1. **Capture** once: [`CapturedTrace::capture`] executes the program
 //!    and records the stream into a compact delta-coded encoding, typically
-//!    one to two bytes per retired instruction.
-//! 2. **Replay** many times: [`CapturedTrace::replay`] reconstructs every
-//!    [`Retired`] event bit-for-bit and pushes it through any [`Sink`] — no
-//!    register file, no memory image, no interpretation.
+//!    one to two bytes per retired instruction. The executor's only
+//!    consumer is the recorder; no sink is fed live.
+//! 2. **Replay** many times: [`CapturedTrace::replay`], the one decode
+//!    loop, hands every retired instruction to a [`Sink`] as a
+//!    [`ColEvent`] — exactly the live [`Retired`] event mapped through
+//!    `ColEvent::from` — with no register file, no memory image, no
+//!    interpretation.
 //! 3. **Cache** across consumers: [`TraceStore`] memoizes captures by
 //!    [`TraceKey`] `(workload, program/layout fingerprint, RunConfig)`
 //!    under a byte budget (`VP_TRACE_CACHE_MB`, default 512) with LRU
 //!    eviction, so sweeps that revisit a workload replay instead of
 //!    re-executing — and degrade gracefully to re-execution when the
-//!    budget is exceeded. Concurrent requests for the same key are
-//!    single-flighted: one thread interprets, the rest replay.
+//!    budget is exceeded. A miss captures and then replays, so live and
+//!    cached runs reach consumers through the same loop. Concurrent
+//!    requests for the same key are single-flighted: one thread
+//!    interprets, the rest replay.
 //! 4. **Persist** across processes: with `VP_TRACE_DIR` set, captures are
 //!    serialized to disk ([`DiskTier`], a `.vptrace` format layer over the
 //!    shared [`blob`] store: framed + CRC-checked, atomic writes, budget
@@ -110,12 +114,11 @@ pub use diff::{
     diff_traces, BlockIdentity, DiffMode, DiffOptions, DiffReport, DiffVerdict, Divergence,
     IdentityMap, Visit,
 };
-pub use event::{col, ColEvent, ColumnBatch, Ctrl, InstCounts, NullSink, Retired, Sink};
+pub use event::{col, ColEvent, Ctrl, InstCounts, Retired, Sink};
 pub use exec::{ExecError, Executor, RunConfig, RunStats, StopReason};
 pub use fx::{FxHashMap, FxHasher};
 pub use memory::Memory;
 pub use trace_store::{
     CapturedTrace, DiskTier, StoreSnapshot, TraceKey, TraceRecorder, TraceStore, DEFAULT_CACHE_MB,
-    DEFAULT_DISK_MB, DEFAULT_REPLAY_BATCH, DEFAULT_REPLAY_BATCH_COLS,
-    FORMAT_VERSION as TRACE_FORMAT_VERSION,
+    DEFAULT_DISK_MB, FORMAT_VERSION as TRACE_FORMAT_VERSION,
 };

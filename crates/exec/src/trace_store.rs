@@ -6,9 +6,10 @@
 //! retired-branch stream in hardware) from *consumption* (region
 //! identification, packaging, timing). This module gives the harness the
 //! same separation: one architectural execution produces a
-//! [`CapturedTrace`]; every later consumer — another detector
-//! configuration, the `vp-sim` timing model, branch-count oracles —
-//! replays the recorded stream instead of re-interpreting the program.
+//! [`CapturedTrace`]; every consumer — the detector, the `vp-sim` timing
+//! model, branch-count oracles, the differential diff — reads the
+//! recorded stream through [`CapturedTrace::replay`], the one decode loop,
+//! instead of re-interpreting the program.
 //!
 //! # Encoding
 //!
@@ -36,16 +37,18 @@
 //!
 //! [`TraceStore`] is a bounded, thread-safe map from [`TraceKey`]
 //! (workload label + structural fingerprint + [`RunConfig`] limits) to
-//! shared captures. [`TraceStore::capture_or_replay`] is the one-call
-//! front door used by the experiment harness: a hit replays, a miss
-//! executes once while recording — and concurrent misses on the same key
-//! are single-flighted, so exactly one thread interprets while the rest
-//! wait and replay. The byte budget comes from `VP_TRACE_CACHE_MB`
-//! (default 512); least-recently-used captures are evicted when it is
-//! exceeded, so oversubscribed sweeps degrade to re-execution instead of
-//! exhausting memory. `VP_TRACE_CACHE_MB=0` disables the memory tier
-//! cleanly: with no disk tier either, runs execute directly and pay no
-//! recording cost at all.
+//! shared captures. [`TraceStore::capture_or_replay_shared`] is the
+//! one-call front door used by the experiment harness: a hit replays, a
+//! miss executes once while recording and then replays the fresh capture
+//! — so live and cached runs reach consumers through the same loop — and
+//! concurrent misses on the same key are single-flighted, so exactly one
+//! thread interprets while the rest wait and replay. The byte budget
+//! comes from `VP_TRACE_CACHE_MB` (default 512); least-recently-used
+//! captures are evicted when it is exceeded, so oversubscribed sweeps
+//! degrade to re-execution instead of exhausting memory.
+//! `VP_TRACE_CACHE_MB=0` disables the memory tier: every miss still
+//! records (the caller gets the capture back), but nothing stays resident,
+//! so with no disk tier every request re-executes.
 //!
 //! # Persistence
 //!
@@ -89,7 +92,7 @@
 //! # Ok::<(), vp_exec::ExecError>(())
 //! ```
 
-use crate::event::{Retired, Sink};
+use crate::event::{col, ColEvent, Retired, Sink};
 use crate::exec::{ExecError, Executor, RunConfig, RunStats};
 use crate::fx::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,7 +106,8 @@ pub use persist::{DiskTier, DEFAULT_DISK_MB, FORMAT_VERSION};
 
 /// Architectural executions performed because no capture was available.
 static CAPTURES: Counter = Counter::new("trace_store.captures");
-/// Full replays of a captured trace through a sink.
+/// Store requests served by replaying a cached or in-flight capture in
+/// place of a live execution (hits and single-flight waiters).
 static REPLAYS: Counter = Counter::new("trace_store.replays");
 /// Store lookups answered from cache.
 static HITS: Counter = Counter::new("trace_store.hits");
@@ -114,44 +118,6 @@ static BYTES: Counter = Counter::new("trace_store.bytes");
 
 /// Default cache budget when `VP_TRACE_CACHE_MB` is unset.
 pub const DEFAULT_CACHE_MB: usize = 512;
-
-/// Default chunk size (in events) of the batched replay kernel when
-/// `VP_REPLAY_BATCH` is unset.
-///
-/// Sized so the chunk buffer (`batch × size_of::<Retired>()`, 80 bytes per
-/// event) stays L1-resident: at 512 events the buffer is 40 KB and the
-/// whole working set fits comfortably, where the previous 4096-event
-/// default streamed a 320 KB buffer through the cache every chunk and
-/// lost to the per-event decoder on monomorphized sinks (the BENCH_6
-/// 0.77× inversion). Measured on the twolf replay workload, 512 beats
-/// 64/128/256 as well.
-pub const DEFAULT_REPLAY_BATCH: usize = 512;
-
-/// Default chunk size for column-form sinks ([`Sink::wants_columns`]).
-/// The column scratch is five parallel output streams plus the sink's own
-/// tables (timing-model caches, scoreboard), so its working set leaves
-/// less L1 headroom than the single struct buffer; 256 beats 96–2048 on
-/// the fused-sim replay bench while the struct path still prefers 512.
-pub const DEFAULT_REPLAY_BATCH_COLS: usize = 256;
-
-/// Chunk size for [`CapturedTrace::replay`], from `VP_REPLAY_BATCH`;
-/// unset falls back to the per-form default.
-fn replay_batch_from_env(cols: bool) -> usize {
-    parse_replay_batch(std::env::var("VP_REPLAY_BATCH").ok().as_deref(), cols)
-}
-
-/// Parses a `VP_REPLAY_BATCH` value; unset, unparsable, or zero values
-/// fall back to [`DEFAULT_REPLAY_BATCH`] ([`DEFAULT_REPLAY_BATCH_COLS`]
-/// for column-form sink compositions).
-fn parse_replay_batch(v: Option<&str>, cols: bool) -> usize {
-    v.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if cols {
-            DEFAULT_REPLAY_BATCH_COLS
-        } else {
-            DEFAULT_REPLAY_BATCH
-        })
-}
 
 // ---------------------------------------------------------------- varints
 
@@ -206,11 +172,11 @@ const FLAG_MEM: u8 = 1 << 1;
 const FLAG_ARCH_TAKEN: u8 = 1 << 2;
 const FLAG_TAKEN: u8 = 1 << 3;
 
-/// A [`Sink`] that records the retired stream it observes.
+/// Records the retired stream of an [`Executor`] run.
 ///
-/// Attach it (alone or tupled with live consumers) to an
-/// [`Executor`] run, then call [`TraceRecorder::finish`] with the run's
-/// stats to obtain the immutable [`CapturedTrace`].
+/// Feed it every event (`executor.run(|r| rec.record(r), cfg)`), then
+/// call [`TraceRecorder::finish`] with the run's stats to obtain the
+/// immutable [`CapturedTrace`].
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     slots: Vec<StaticSlot>,
@@ -269,10 +235,9 @@ impl TraceRecorder {
             }
         }
     }
-}
 
-impl Sink for TraceRecorder {
-    fn retire(&mut self, r: &Retired) {
+    /// Appends one retired instruction to the recording.
+    pub fn record(&mut self, r: &Retired) {
         // Fast path: straight-line execution of already-seen code. Slots
         // are numbered in first-seen order, so whenever execution falls
         // through, the next event's address equals the next slot's — one
@@ -398,127 +363,66 @@ impl std::fmt::Debug for StreamBytes {
 #[derive(Debug)]
 pub struct CapturedTrace {
     slots: Vec<StaticSlot>,
-    /// Derived column: fetch address per slot (return-target base in the
-    /// decode parse pass). Kept out of [`StaticSlot`] so the parse pass
-    /// touches an 8-byte array entry instead of a 120-byte slot record.
-    slot_addr: Vec<u64>,
-    /// Derived column: 1 where the slot's template is a return (the one
-    /// record shape that carries an extra varint in the dynamic stream).
-    slot_is_ret: Vec<u8>,
-    /// Derived records backing the column decoder: one interleaved
-    /// [`SlotCol`] per slot, so the per-event column split loads a single
-    /// 48-byte record (one bounds check, one cache-line stream) instead of
-    /// walking five parallel arrays.
+    /// Derived decode table: one [`SlotCol`] per slot, so the per-event
+    /// decode loads a single compact record instead of a >100-byte slot.
     slot_cols: Vec<SlotCol>,
     stream: StreamBytes,
     stats: RunStats,
     events: u64,
 }
 
-/// Per-slot static halves of the [`ColumnBatch`] encoding, interleaved so
-/// the column decoder touches one record per event. Fields mirror the
-/// batch columns: `flags` is the template's static [`col`] bits (dynamic
-/// `MEM`/`TAKEN`/`ARCH_TAKEN` come from the stream record), `exec` the
-/// packed exec word, `mem` the static memory address (0 when none), `tgt`
-/// the control auxiliary address per architectural direction
+/// Per-slot static half of the [`ColEvent`] encoding. `flags` is the
+/// template's static [`col`] bits (the dynamic `MEM`/`TAKEN`/`ARCH_TAKEN`
+/// come from the stream record), `exec` the packed exec word, `tgt` the
+/// control auxiliary address per architectural direction
 /// (`[targets[0], targets[1]]` for branches and jumps, the RAS return
 /// address in both lanes for calls, zero for returns — their target is
-/// decoded from the stream — and non-control slots).
+/// decoded from the stream — and for non-control slots).
 #[derive(Debug, Clone, Copy)]
 struct SlotCol {
     exec: u64,
-    mem: u64,
     tgt: [u64; 2],
     addr: u64,
+    loc: vp_isa::CodeRef,
     flags: u8,
     /// 1 where the slot is a return (carries an extra stream varint).
     is_ret: u8,
 }
 
-/// Reusable per-replay scratch backing the [`ColumnBatch`] views: one
-/// allocation per replay, rewritten in place by the column decoder.
-#[derive(Debug, Default)]
-struct ColScratch {
-    flags: Vec<u8>,
-    addr: Vec<u64>,
-    exec: Vec<u64>,
-    mem: Vec<u64>,
-    target: Vec<u64>,
-}
-
-impl ColScratch {
-    fn with_capacity(n: usize) -> ColScratch {
-        ColScratch {
-            flags: vec![0; n],
-            addr: vec![0; n],
-            exec: vec![0; n],
-            mem: vec![0; n],
-            target: vec![0; n],
-        }
-    }
-}
-
-/// Decode position carried across chunk boundaries by the batched replay
-/// kernel: byte offset into the stream plus the two delta-coding anchors.
-#[derive(Debug)]
-struct ReplayCursor {
-    pos: usize,
-    prev_idx: i64,
-    last_mem: u64,
-}
-
-impl Default for ReplayCursor {
-    fn default() -> ReplayCursor {
-        ReplayCursor {
-            pos: 0,
-            prev_idx: -1,
-            last_mem: 0,
-        }
-    }
-}
-
 impl CapturedTrace {
     /// Builds a trace from its encoded parts, deriving the per-slot decode
-    /// columns (`slot_addr`, `slot_is_ret`) the SoA parse pass reads
-    /// instead of the full slot records. The single constructor used by
-    /// both live capture ([`TraceRecorder::finish`]) and disk decode.
+    /// table. The single constructor used by both live capture
+    /// ([`TraceRecorder::finish`]) and disk decode.
     pub(crate) fn assemble(
         slots: Vec<StaticSlot>,
         stream: StreamBytes,
         stats: RunStats,
         events: u64,
     ) -> CapturedTrace {
-        use crate::event::col;
-        let slot_addr = slots.iter().map(|s| s.template.addr).collect();
-        let slot_is_ret = slots
-            .iter()
-            .map(|s| u8::from(s.template.ctrl.as_ref().is_some_and(|c| c.is_ret)))
-            .collect();
-        // Static halves of the column encoding: the per-event decoder ORs
-        // in the dynamic MEM/TAKEN/ARCH_TAKEN bits from the stream record.
         let slot_cols = slots
             .iter()
-            .map(|s| SlotCol {
-                exec: col::pack_exec(&s.template),
-                mem: s.template.mem_addr.unwrap_or(0),
-                tgt: match &s.template.ctrl {
-                    // Consumer priority is COND → RET → CALL, so a call's
-                    // lanes can carry its RAS return address: a call is
-                    // never read through the COND lane selection.
-                    Some(c) if c.is_ret => [0, 0],
-                    Some(c) if !c.is_cond && c.is_call => [c.ret_addr; 2],
-                    Some(_) => [s.targets[0].unwrap_or(0), s.targets[1].unwrap_or(0)],
-                    None => [0, 0],
-                },
-                addr: s.template.addr,
-                flags: col::pack_flags(&s.template) & !(col::TAKEN | col::ARCH_TAKEN),
-                is_ret: u8::from(s.template.ctrl.as_ref().is_some_and(|c| c.is_ret)),
+            .map(|s| {
+                let t = &s.template;
+                SlotCol {
+                    exec: col::pack_exec(t),
+                    tgt: match &t.ctrl {
+                        // Consumer priority is COND → RET → CALL, so a
+                        // call's lanes can carry its RAS return address: a
+                        // call is never read through the COND lane.
+                        Some(c) if c.is_ret => [0, 0],
+                        Some(c) if !c.is_cond && c.is_call => [c.ret_addr; 2],
+                        Some(_) => [s.targets[0].unwrap_or(0), s.targets[1].unwrap_or(0)],
+                        None => [0, 0],
+                    },
+                    addr: t.addr,
+                    loc: t.loc,
+                    flags: col::pack_flags(t) & !(col::TAKEN | col::ARCH_TAKEN),
+                    is_ret: u8::from(t.ctrl.as_ref().is_some_and(|c| c.is_ret)),
+                }
             })
             .collect();
         CapturedTrace {
             slots,
-            slot_addr,
-            slot_is_ret,
             slot_cols,
             stream,
             stats,
@@ -537,310 +441,27 @@ impl CapturedTrace {
         layout: &Layout,
         cfg: &RunConfig,
     ) -> Result<CapturedTrace, ExecError> {
-        Self::capture_with(program, layout, cfg, &mut crate::event::NullSink)
-    }
-
-    /// Like [`CapturedTrace::capture`], but also feeds `sink` during the
-    /// recording run, so first-time consumers do not pay a separate
-    /// replay pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from the executor.
-    pub fn capture_with(
-        program: &Program,
-        layout: &Layout,
-        cfg: &RunConfig,
-        sink: &mut impl Sink,
-    ) -> Result<CapturedTrace, ExecError> {
         let mut rec = TraceRecorder::new();
-        let stats = Executor::new(program, layout).run(&mut (&mut rec, sink), cfg)?;
+        let stats = Executor::new(program, layout).run(|r| rec.record(r), cfg)?;
         Ok(rec.finish(stats))
     }
 
-    /// Replays the recorded stream into `sink`, reconstructing every
-    /// [`Retired`] event bit-for-bit, and returns the original run's
-    /// [`RunStats`].
+    /// Replays the recorded stream into `sink`, one [`ColEvent`] per
+    /// retired instruction, and returns the original run's [`RunStats`].
     ///
-    /// This is the batched front door: events are decoded into a reusable
-    /// chunk buffer (`VP_REPLAY_BATCH` events per chunk, default
-    /// [`DEFAULT_REPLAY_BATCH`]) and dispatched through
-    /// [`Sink::retire_batch`], so per-event sink dispatch is amortized
-    /// across the chunk. Event content and order are identical to
-    /// [`CapturedTrace::replay_per_event`] at every chunk size.
+    /// This is the only decode loop. It is generic over the sink, so the
+    /// consumer inlines into it: the decoder's serial chain (stream
+    /// position, slot index, memory anchor) and the consumer's state
+    /// chains are independent per event, and the host overlaps them. Event
+    /// values and order equal the live executor's stream mapped through
+    /// `ColEvent::from` (pinned by tests).
     pub fn replay(&self, sink: &mut impl Sink) -> RunStats {
-        let batch = replay_batch_from_env(sink.wants_columns());
-        self.replay_batched(sink, batch)
-    }
-
-    /// Like [`CapturedTrace::replay`], with an explicit chunk size instead
-    /// of the `VP_REPLAY_BATCH` environment knob. `batch` is clamped to at
-    /// least 1.
-    pub fn replay_batched(&self, sink: &mut impl Sink, batch: usize) -> RunStats {
-        REPLAYS.incr();
-        if self.stream.is_empty() {
-            return self.stats;
-        }
-        // Every event consumes at least one stream byte, so `stream.len()`
-        // bounds the events a replay can ever produce: oversized chunk
-        // requests (`VP_REPLAY_BATCH=999999999`) degrade to a single
-        // right-sized buffer instead of an absurd allocation.
-        let batch = batch.clamp(1, self.stream.len());
-        let mut cur = ReplayCursor::default();
-        if sink.wants_columns() {
-            // Column form. When every member of the sink composition reads
-            // only columns, the struct materialization is skipped entirely
-            // and the `events` view stays empty.
-            let cols_only = sink.columns_only();
-            let mut cols = ColScratch::with_capacity(batch);
-            let mut buf: Vec<Retired> = if cols_only {
-                Vec::new()
-            } else {
-                vec![self.slots[0].template; batch]
-            };
-            while cur.pos < self.stream.len() {
-                let n = if cols_only {
-                    self.decode_chunk_cols::<false>(&mut cur, &mut buf, &mut cols)
-                } else {
-                    self.decode_chunk_cols::<true>(&mut cur, &mut buf, &mut cols)
-                };
-                sink.retire_columns(&crate::ColumnBatch {
-                    events: if cols_only { &[] } else { &buf[..n] },
-                    flags: &cols.flags[..n],
-                    addr: &cols.addr[..n],
-                    exec: &cols.exec[..n],
-                    mem: &cols.mem[..n],
-                    target: &cols.target[..n],
-                });
-            }
-            return self.stats;
-        }
-        // The chunk buffer is allocated once per replay and written in
-        // place by the decoder; the filler template is never observed
-        // (only `buf[..n]` decoded events reach the sink).
-        let mut buf: Vec<Retired> = vec![self.slots[0].template; batch];
-        while cur.pos < self.stream.len() {
-            let n = self.decode_chunk(&mut cur, &mut buf);
-            sink.retire_batch(&buf[..n]);
-        }
-        self.stats
-    }
-
-    /// Decodes up to `buf.len()` events at `cur` into `buf`, advancing the
-    /// cursor past the consumed bytes. Returns the number of events
-    /// decoded.
-    ///
-    /// The kernel is structured around the trace's SoA split: the serial
-    /// parse work reads only the byte stream and the two compact per-slot
-    /// columns ([`CapturedTrace::slot_is_ret`], [`CapturedTrace::slot_addr`]),
-    /// never a >100-byte [`StaticSlot`] record, so the cross-event
-    /// dependency chain (stream position, slot index, memory anchor) runs
-    /// out of a few cache lines. Materialization — the 80-byte template
-    /// copy plus patches — hangs off that chain as pure dataflow. On top
-    /// of this, runs of 1-byte straight-line records are detected by
-    /// scanning the stream and expanded in a dedicated tight copy loop
-    /// with no per-event parse at all (see the comment in the body).
-    fn decode_chunk(&self, cur: &mut ReplayCursor, buf: &mut [Retired]) -> usize {
-        let stream = self.stream.as_slice();
-        let slot_is_ret = self.slot_is_ret.as_slice();
-        let slot_addr = self.slot_addr.as_slice();
-        let mut pos = cur.pos;
-        let mut prev_idx = cur.prev_idx;
-        let mut last_mem = cur.last_mem;
-        let mut n = 0;
-
-        let slots = self.slots.as_slice();
-        for out in buf.iter_mut() {
-            if pos >= stream.len() {
-                break;
-            }
-            // Parse: resolve this record's deltas against the cursor
-            // anchors, reading only stream bytes and the compact per-slot
-            // columns. Crucially, the stream position for the *next*
-            // record depends on whether this slot is a return
-            // (`slot_is_ret`) — sourcing that from the 1-byte column keeps
-            // the serial decode chain inside a few cache lines instead of
-            // chaining through a >100-byte slot record per event.
-            let flags = stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-            };
-            prev_idx = idx;
-            let s = idx as usize;
-            let mem = if flags & FLAG_MEM != 0 {
-                last_mem = last_mem.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
-                last_mem
-            } else {
-                0
-            };
-            let tgt = if slot_is_ret[s] != 0 {
-                slot_addr[s].wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64)
-            } else {
-                0
-            };
-
-            // Materialize: expand the parsed fields into the 80-byte
-            // event. Nothing below feeds back into the parse chain, so
-            // the slot load, template copy, and patch stores retire
-            // behind the next iterations' parsing.
-            let slot = &slots[s];
-            *out = slot.template;
-            if flags & FLAG_MEM != 0 {
-                out.mem_addr = Some(mem);
-            }
-            if let Some(c) = &mut out.ctrl {
-                c.arch_taken = flags & FLAG_ARCH_TAKEN != 0;
-                c.taken = flags & FLAG_TAKEN != 0;
-                c.target = if c.is_ret {
-                    tgt
-                } else {
-                    slot.targets[usize::from(c.arch_taken)]
-                        .expect("observed direction has a recorded target")
-                };
-            }
-            n += 1;
-        }
-
-        cur.pos = pos;
-        cur.prev_idx = prev_idx;
-        cur.last_mem = last_mem;
-        n
-    }
-
-    /// Like [`CapturedTrace::decode_chunk`], but additionally splits the
-    /// chunk into the flat [`ColumnBatch`] scratch columns. The parse chain
-    /// is identical; the extra work per event is five column stores whose
-    /// values are already in registers (dynamic stream bits) or come from
-    /// the single interleaved [`SlotCol`] record derived once in
-    /// [`CapturedTrace::assemble`] — one extra load per event, no
-    /// slot-record traffic. All five output columns are re-sliced to a
-    /// common length up front so the per-event stores compile without
-    /// bounds checks.
-    ///
-    /// With `EVENTS = false` (a columns-only sink composition) the struct
-    /// materialization is compiled out and `buf` may be empty; the chunk
-    /// size then comes from the column scratch capacity.
-    fn decode_chunk_cols<const EVENTS: bool>(
-        &self,
-        cur: &mut ReplayCursor,
-        buf: &mut [Retired],
-        cols: &mut ColScratch,
-    ) -> usize {
-        use crate::event::col;
-        // The dynamic column bits are chosen to coincide with the stream
-        // record's flag bits, so the dynamic half of the flag byte is a
-        // single mask of the record byte.
+        // The dynamic flag bits coincide with the stream record's, so the
+        // dynamic half of the flag byte is a single mask.
         const _: () = assert!(
             col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN
         );
         const DYN_MASK: u8 = FLAG_MEM | FLAG_ARCH_TAKEN | FLAG_TAKEN;
-
-        let stream = self.stream.as_slice();
-        let slot_cols = self.slot_cols.as_slice();
-        let mut pos = cur.pos;
-        let mut prev_idx = cur.prev_idx;
-        let mut last_mem = cur.last_mem;
-        let mut n = 0;
-        let max = cols.flags.len();
-        let out_flags = &mut cols.flags[..max];
-        let out_addr = &mut cols.addr[..max];
-        let out_exec = &mut cols.exec[..max];
-        let out_mem = &mut cols.mem[..max];
-        let out_tgt = &mut cols.target[..max];
-        let buf = if EVENTS { &mut buf[..max] } else { buf };
-
-        let slots = self.slots.as_slice();
-        while n < max {
-            if pos >= stream.len() {
-                break;
-            }
-            // Parse: identical serial chain to `decode_chunk`, with the
-            // slot columns sourced from the one interleaved record.
-            let flags = stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
-            };
-            prev_idx = idx;
-            let s = idx as usize;
-            let sc = &slot_cols[s];
-            let mem = if flags & FLAG_MEM != 0 {
-                last_mem = last_mem.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
-                last_mem
-            } else {
-                sc.mem
-            };
-            let is_ret = sc.is_ret != 0;
-            let tgt = if is_ret {
-                sc.addr
-                    .wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64)
-            } else {
-                sc.tgt[usize::from(flags & FLAG_ARCH_TAKEN != 0)]
-            };
-
-            // Column split: everything below is pure dataflow off the
-            // parse chain.
-            out_flags[n] = sc.flags | (flags & DYN_MASK);
-            out_addr[n] = sc.addr;
-            out_exec[n] = sc.exec;
-            out_mem[n] = mem;
-            out_tgt[n] = tgt;
-
-            // Materialize the struct form for column-oblivious members of
-            // a composed sink, exactly as `decode_chunk` does.
-            if EVENTS {
-                let slot = &slots[s];
-                let out = &mut buf[n];
-                *out = slot.template;
-                if flags & FLAG_MEM != 0 {
-                    out.mem_addr = Some(mem);
-                }
-                if let Some(c) = &mut out.ctrl {
-                    c.arch_taken = flags & FLAG_ARCH_TAKEN != 0;
-                    c.taken = flags & FLAG_TAKEN != 0;
-                    c.target = if c.is_ret {
-                        tgt
-                    } else {
-                        slot.targets[usize::from(c.arch_taken)]
-                            .expect("observed direction has a recorded target")
-                    };
-                }
-            }
-            n += 1;
-        }
-
-        cur.pos = pos;
-        cur.prev_idx = prev_idx;
-        cur.last_mem = last_mem;
-        n
-    }
-
-    /// Replays the stream as per-event [`ColEvent`](crate::ColEvent) records through `f`,
-    /// fusing decode with the consumer in a single loop.
-    ///
-    /// The decoder's serial chain (stream position, slot index, memory
-    /// anchor) and a typical consumer's state chains are independent per
-    /// event, so inlining the consumer into the decode loop lets the host
-    /// overlap them — where the chunked [`CapturedTrace::replay`] pays the
-    /// decode and consume chains additively across alternating loops —
-    /// and the column values flow through registers with no scratch-column
-    /// round trip. Event values and order are identical to the column
-    /// views [`Sink::retire_columns`] receives (pinned by tests).
-    ///
-    /// Returns the original run's [`RunStats`], like every replay entry
-    /// point.
-    pub fn replay_events_with<F: FnMut(crate::ColEvent)>(&self, mut f: F) -> RunStats {
-        use crate::event::col;
-        const _: () = assert!(
-            col::MEM == FLAG_MEM && col::ARCH_TAKEN == FLAG_ARCH_TAKEN && col::TAKEN == FLAG_TAKEN
-        );
-        const DYN_MASK: u8 = FLAG_MEM | FLAG_ARCH_TAKEN | FLAG_TAKEN;
-        REPLAYS.incr();
 
         let stream = self.stream.as_slice();
         let slot_cols = self.slot_cols.as_slice();
@@ -848,7 +469,6 @@ impl CapturedTrace {
         let mut prev_idx: i64 = -1;
         let mut last_mem = 0u64;
         while pos < stream.len() {
-            // Parse: identical serial chain to `decode_chunk_cols`.
             let flags = stream[pos];
             pos += 1;
             let idx = if flags & FLAG_SEQ != 0 {
@@ -857,13 +477,12 @@ impl CapturedTrace {
                 prev_idx + 1 + unzigzag(get_varint(stream, &mut pos))
             };
             prev_idx = idx;
-            let s = idx as usize;
-            let sc = &slot_cols[s];
+            let sc = &slot_cols[idx as usize];
             let mem = if flags & FLAG_MEM != 0 {
                 last_mem = last_mem.wrapping_add(unzigzag(get_varint(stream, &mut pos)) as u64);
                 last_mem
             } else {
-                sc.mem
+                0
             };
             let target = if sc.is_ret != 0 {
                 sc.addr
@@ -871,54 +490,14 @@ impl CapturedTrace {
             } else {
                 sc.tgt[usize::from(flags & FLAG_ARCH_TAKEN != 0)]
             };
-            f(crate::ColEvent {
+            sink.retire(ColEvent {
                 flags: sc.flags | (flags & DYN_MASK),
                 addr: sc.addr,
                 exec: sc.exec,
                 mem,
                 target,
+                loc: sc.loc,
             });
-        }
-        self.stats
-    }
-
-    /// Replays one event at a time through [`Sink::retire`] — the
-    /// pre-batching decoder, kept as the reference implementation for
-    /// bit-exactness tests and as the baseline the replay-throughput bench
-    /// reports against.
-    pub fn replay_per_event(&self, sink: &mut impl Sink) -> RunStats {
-        REPLAYS.incr();
-        let mut pos = 0usize;
-        let mut prev_idx: i64 = -1;
-        let mut last_mem = 0u64;
-        while pos < self.stream.len() {
-            let flags = self.stream[pos];
-            pos += 1;
-            let idx = if flags & FLAG_SEQ != 0 {
-                prev_idx + 1
-            } else {
-                prev_idx + 1 + unzigzag(get_varint(&self.stream, &mut pos))
-            };
-            prev_idx = idx;
-            let slot = &self.slots[idx as usize];
-            let mut ev = slot.template;
-            if flags & FLAG_MEM != 0 {
-                last_mem =
-                    last_mem.wrapping_add(unzigzag(get_varint(&self.stream, &mut pos)) as u64);
-                ev.mem_addr = Some(last_mem);
-            }
-            if let Some(c) = &mut ev.ctrl {
-                c.arch_taken = flags & FLAG_ARCH_TAKEN != 0;
-                c.taken = flags & FLAG_TAKEN != 0;
-                c.target = if c.is_ret {
-                    ev.addr
-                        .wrapping_add(unzigzag(get_varint(&self.stream, &mut pos)) as u64)
-                } else {
-                    slot.targets[usize::from(c.arch_taken)]
-                        .expect("observed direction has a recorded target")
-                };
-            }
-            sink.retire(&ev);
         }
         self.stats
     }
@@ -933,9 +512,12 @@ impl CapturedTrace {
         self.events
     }
 
-    /// Approximate resident size of the capture in bytes.
+    /// Resident size of the capture in bytes: the dynamic stream plus,
+    /// per slot, the static record and its derived decode record.
     pub fn bytes(&self) -> usize {
-        self.stream.len() + self.slots.len() * std::mem::size_of::<StaticSlot>()
+        self.stream.len()
+            + self.slots.len()
+                * (std::mem::size_of::<StaticSlot>() + std::mem::size_of::<SlotCol>())
     }
 }
 
@@ -1183,13 +765,6 @@ impl TraceStore {
         self.disk.as_ref()
     }
 
-    /// Whether caching is fully disabled (`VP_TRACE_CACHE_MB=0` and no
-    /// disk tier): [`TraceStore::capture_or_replay`] then executes
-    /// directly, without paying any recording cost.
-    pub fn caching_disabled(&self) -> bool {
-        self.cap_bytes == 0 && self.disk.is_none()
-    }
-
     /// The process-wide store used by the experiment harness, sized from
     /// `VP_TRACE_CACHE_MB` (default 512) at first use, with the disk tier
     /// attached when `VP_TRACE_DIR` is set (budget `VP_TRACE_DISK_MB`,
@@ -1296,47 +871,22 @@ impl TraceStore {
     }
 
     /// Replays `key`'s capture into `sink` if cached (memory or disk);
-    /// otherwise executes `program` once with the recorder (and `sink`)
-    /// attached and caches the result in both tiers. Returns the run's
-    /// stats either way.
+    /// otherwise executes `program` once while recording, caches the
+    /// capture in both tiers, and then replays it into `sink`. Either way
+    /// `sink` is fed by [`CapturedTrace::replay`], and the shared capture
+    /// comes back with the run's stats so the caller can replay it into
+    /// further consumers (this is how `vp_metrics::profile` derives
+    /// baseline timing without re-executing).
     ///
     /// Concurrent calls for the same key are deduplicated: exactly one
     /// thread executes (the *leader*), the rest block and then replay the
     /// leader's capture, so an N-way sweep over one workload pays one
     /// interpretation, not N.
     ///
-    /// When caching is fully disabled ([`TraceStore::caching_disabled`]),
-    /// the program executes directly with no recorder attached — the
-    /// recording cost is only paid when the capture can be kept.
-    ///
     /// # Errors
     ///
     /// Propagates [`ExecError`] from a capture run; failed runs are never
     /// cached.
-    pub fn capture_or_replay(
-        &self,
-        key: TraceKey,
-        program: &Program,
-        layout: &Layout,
-        cfg: &RunConfig,
-        sink: &mut impl Sink,
-    ) -> Result<RunStats, ExecError> {
-        if self.caching_disabled() {
-            return Executor::new(program, layout).run(sink, cfg);
-        }
-        self.capture_or_replay_shared(key, program, layout, cfg, sink)
-            .map(|(_, stats)| stats)
-    }
-
-    /// Like [`TraceStore::capture_or_replay`], but also hands back the
-    /// shared capture so the caller can replay it into further consumers
-    /// (this is how `vp_metrics::profile` derives baseline timing without
-    /// re-executing). Because the caller keeps the trace, this records
-    /// even when caching is disabled.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecError`] from a capture run.
     pub fn capture_or_replay_shared(
         &self,
         key: TraceKey,
@@ -1347,8 +897,7 @@ impl TraceStore {
     ) -> Result<(Arc<CapturedTrace>, RunStats), ExecError> {
         loop {
             if let Some(trace) = self.fetch(&key) {
-                let stats = trace.replay(sink);
-                return Ok((trace, stats));
+                return Ok(serve(trace, sink));
             }
 
             let flight = {
@@ -1366,15 +915,12 @@ impl TraceStore {
                 // Another thread is already capturing this key: wait for
                 // its outcome and replay.
                 Some(flight) => match flight.wait() {
-                    FlightOutcome::Done(trace) => {
-                        let stats = trace.replay(sink);
-                        return Ok((trace, stats));
-                    }
+                    FlightOutcome::Done(trace) => return Ok(serve(trace, sink)),
                     FlightOutcome::Failed(e) => return Err(e),
                     FlightOutcome::Cancelled => continue,
                 },
-                // We are the leader: execute once while recording, feeding
-                // `sink` live, then publish for the waiters.
+                // We are the leader: execute once while recording, publish
+                // for the waiters, then feed `sink` from the capture.
                 None => {
                     let flight = Arc::clone(
                         self.flights
@@ -1392,16 +938,18 @@ impl TraceStore {
                     // Re-check under flight ownership: a racing leader may
                     // have completed between our fetch miss and takeover.
                     if let Some(trace) = self.get(&key) {
-                        let stats = trace.replay(sink);
                         guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
-                        return Ok((trace, stats));
+                        return Ok(serve(trace, sink));
                     }
-                    match CapturedTrace::capture_with(program, layout, cfg, sink) {
+                    match CapturedTrace::capture(program, layout, cfg) {
                         Ok(trace) => {
                             let trace = Arc::new(trace);
-                            let stats = trace.stats();
                             self.insert(key.clone(), Arc::clone(&trace));
                             guard.finish(FlightOutcome::Done(Arc::clone(&trace)));
+                            // This feed stands in for no execution — the
+                            // capture just ran — so it is not a counted
+                            // `trace_store.replays`.
+                            let stats = trace.replay(sink);
                             return Ok((trace, stats));
                         }
                         Err(e) => {
@@ -1463,6 +1011,14 @@ impl TraceStore {
         inner.bytes = 0;
         self.publish_occupancy(&inner);
     }
+}
+
+/// Answers a store request from an existing capture: the replay that
+/// stands in for a live execution (`trace_store.replays`).
+fn serve(trace: Arc<CapturedTrace>, sink: &mut impl Sink) -> (Arc<CapturedTrace>, RunStats) {
+    REPLAYS.incr();
+    let stats = trace.replay(sink);
+    (trace, stats)
 }
 
 /// A point-in-time view of a [`TraceStore`]'s occupancy
@@ -1527,10 +1083,10 @@ mod tests {
 
     /// Collects every replayed event verbatim.
     #[derive(Default)]
-    struct Collect(Vec<Retired>);
+    pub(crate) struct Collect(pub(crate) Vec<ColEvent>);
     impl Sink for Collect {
-        fn retire(&mut self, r: &Retired) {
-            self.0.push(*r);
+        fn retire(&mut self, e: ColEvent) {
+            self.0.push(e);
         }
     }
 
@@ -1538,64 +1094,53 @@ mod tests {
     fn replay_reproduces_stream_exactly() {
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
-        let mut live = Collect::default();
-        let stats = Executor::new(&p, &layout).run(&mut live, &cfg).unwrap();
+        let mut live = Vec::new();
+        let stats = Executor::new(&p, &layout)
+            .run(|r| live.push(ColEvent::from(r)), &cfg)
+            .unwrap();
 
         let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
         let mut replayed = Collect::default();
         let rstats = trace.replay(&mut replayed);
 
         assert_eq!(stats, rstats);
-        assert_eq!(live.0.len(), replayed.0.len());
-        for (a, b) in live.0.iter().zip(&replayed.0) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(live, replayed.0);
     }
 
     #[test]
-    fn batched_replay_matches_per_event_at_every_chunking() {
+    fn leader_feeds_sink_by_replay_after_capture() {
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
-        let trace = CapturedTrace::capture(&p, &layout, &cfg).unwrap();
-
-        let mut reference = Collect::default();
-        let ref_stats = trace.replay_per_event(&mut reference);
-
-        // Degenerate (1), a non-divisor that straddles chunk boundaries,
-        // a power of two, and larger-than-the-trace.
-        for batch in [1, 7, 64, usize::MAX / 2] {
-            let mut got = Collect::default();
-            let stats = trace.replay_batched(&mut got, batch);
-            assert_eq!(stats, ref_stats, "batch={batch}: stats diverged");
-            assert_eq!(got.0, reference.0, "batch={batch}: events diverged");
-        }
-        // `batch = 0` is clamped, not a panic or an empty replay.
-        let mut got = Collect::default();
-        trace.replay_batched(&mut got, 0);
-        assert_eq!(got.0, reference.0);
-    }
-
-    #[test]
-    fn replay_batch_env_parsing() {
-        assert_eq!(parse_replay_batch(None, false), DEFAULT_REPLAY_BATCH);
-        assert_eq!(parse_replay_batch(None, true), DEFAULT_REPLAY_BATCH_COLS);
-        assert_eq!(parse_replay_batch(Some("1"), false), 1);
-        assert_eq!(parse_replay_batch(Some(" 512 "), true), 512);
-        assert_eq!(parse_replay_batch(Some("0"), false), DEFAULT_REPLAY_BATCH);
+        let store = TraceStore::with_capacity_mb(4);
+        let key = TraceKey::new("leader", &p, &layout, &cfg);
+        let mut counts = InstCounts::new();
+        let ((trace, stats), report) = vp_trace::scoped(|| {
+            store
+                .capture_or_replay_shared(key, &p, &layout, &cfg, &mut counts)
+                .unwrap()
+        });
+        assert_eq!(counts.total, stats.retired);
+        assert_eq!(trace.events(), stats.retired);
+        assert_eq!(report.counter("trace_store.captures"), 1);
         assert_eq!(
-            parse_replay_batch(Some("junk"), true),
-            DEFAULT_REPLAY_BATCH_COLS
+            report.counter("trace_store.replays"),
+            0,
+            "the leader's feed stands in for no execution"
         );
     }
 
     #[test]
-    fn capture_with_feeds_sink_during_recording() {
+    fn bytes_counts_static_slots_and_decode_records() {
+        // The memory LRU, `trace_store.bytes` and the resident-size
+        // telemetry all read this: the stream, plus per slot the static
+        // record and its derived decode record.
         let (p, layout) = sample_program();
-        let cfg = RunConfig::default();
-        let mut counts = InstCounts::new();
-        let trace = CapturedTrace::capture_with(&p, &layout, &cfg, &mut counts).unwrap();
-        assert_eq!(counts.total, trace.stats().retired);
-        assert_eq!(trace.events(), trace.stats().retired);
+        let trace = CapturedTrace::capture(&p, &layout, &RunConfig::default()).unwrap();
+        assert_eq!(std::mem::size_of::<StaticSlot>(), 112);
+        assert_eq!(std::mem::size_of::<SlotCol>(), 48);
+        assert_eq!(trace.slots.len(), 19);
+        assert_eq!(trace.stream.len(), 116);
+        assert_eq!(trace.bytes(), 116 + 19 * (112 + 48));
     }
 
     #[test]
@@ -1639,13 +1184,13 @@ mod tests {
 
         let mut first = InstCounts::new();
         store
-            .capture_or_replay(key.clone(), &p, &layout, &cfg, &mut first)
+            .capture_or_replay_shared(key.clone(), &p, &layout, &cfg, &mut first)
             .unwrap();
         assert_eq!(store.len(), 1);
 
         let mut second = InstCounts::new();
         store
-            .capture_or_replay(key, &p, &layout, &cfg, &mut second)
+            .capture_or_replay_shared(key, &p, &layout, &cfg, &mut second)
             .unwrap();
         assert_eq!(first, second);
     }
@@ -1672,9 +1217,9 @@ mod tests {
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
         let store = TraceStore::new(16);
-        let mut sink = crate::event::NullSink;
+        let mut sink = InstCounts::new();
         store
-            .capture_or_replay(
+            .capture_or_replay_shared(
                 TraceKey::new("big", &p, &layout, &cfg),
                 &p,
                 &layout,
@@ -1700,29 +1245,34 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_disables_caching_without_recording() {
+    fn zero_budget_without_disk_records_but_caches_nothing() {
         let (p, layout) = sample_program();
         let cfg = RunConfig::default();
         let store = TraceStore::with_capacity_mb(0);
-        assert!(store.caching_disabled());
 
         let mut direct = InstCounts::new();
-        let direct_stats = Executor::new(&p, &layout).run(&mut direct, &cfg).unwrap();
+        let direct_stats = Executor::new(&p, &layout)
+            .run(|r| direct.retire(ColEvent::from(r)), &cfg)
+            .unwrap();
 
         let ((), report) = vp_trace::scoped(|| {
             for _ in 0..2 {
                 let key = TraceKey::new("w", &p, &layout, &cfg);
                 let mut counts = InstCounts::new();
-                let stats = store
-                    .capture_or_replay(key, &p, &layout, &cfg, &mut counts)
+                let (trace, stats) = store
+                    .capture_or_replay_shared(key, &p, &layout, &cfg, &mut counts)
                     .unwrap();
                 assert_eq!(stats, direct_stats);
                 assert_eq!(counts, direct);
+                assert_eq!(
+                    trace.events(),
+                    direct_stats.retired,
+                    "caller keeps the capture"
+                );
             }
         });
-        // The old behaviour captured (paying the recording cost) and then
-        // failed to cache; now the run executes with no recorder at all.
-        assert_eq!(report.counter("trace_store.captures"), 0);
+        // Nothing stays resident, so every request executes (and records).
+        assert_eq!(report.counter("trace_store.captures"), 2);
         assert_eq!(report.counter("trace_store.replays"), 0);
         assert_eq!(report.counter("trace_store.evictions"), 0);
         assert!(store.is_empty());
@@ -1736,14 +1286,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = TraceStore::with_capacity_mb(0)
             .with_disk(Some(DiskTier::new(&dir, 64 * 1024 * 1024).unwrap()));
-        assert!(!store.caching_disabled());
 
         let ((), report) = vp_trace::scoped(|| {
             for _ in 0..2 {
                 let key = TraceKey::new("w", &p, &layout, &cfg);
                 let mut counts = InstCounts::new();
                 store
-                    .capture_or_replay(key, &p, &layout, &cfg, &mut counts)
+                    .capture_or_replay_shared(key, &p, &layout, &cfg, &mut counts)
                     .unwrap();
             }
         });

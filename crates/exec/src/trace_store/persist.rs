@@ -683,10 +683,10 @@ impl DiskTier {
 #[cfg(test)]
 mod tests {
     use super::super::tests::sample_program;
+    use super::super::tests::Collect;
     use super::super::{TraceKey, TraceStore};
     use super::*;
-    use crate::event::InstCounts;
-    use crate::event::Sink;
+    use crate::event::{ColEvent, InstCounts};
     use crate::exec::RunConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -773,27 +773,15 @@ mod tests {
         assert_eq!(trace.stats(), reloaded.stats());
         assert_eq!(trace.events(), reloaded.events());
 
-        struct Collect(Vec<Retired>);
-        impl Sink for Collect {
-            fn retire(&mut self, r: &Retired) {
-                self.0.push(*r);
-            }
-        }
-        let mut a = Collect(Vec::new());
-        let mut b = Collect(Vec::new());
-        trace.replay(&mut a);
-        reloaded.replay(&mut b);
-        assert_eq!(a.0, b.0, "replayed streams must be identical");
+        assert_eq!(
+            events_of(&trace),
+            events_of(&reloaded),
+            "replayed streams must be identical, `loc` included"
+        );
     }
 
-    fn events_of(trace: &CapturedTrace) -> Vec<Retired> {
-        struct Collect(Vec<Retired>);
-        impl Sink for Collect {
-            fn retire(&mut self, r: &Retired) {
-                self.0.push(*r);
-            }
-        }
-        let mut c = Collect(Vec::new());
+    fn events_of(trace: &CapturedTrace) -> Vec<ColEvent> {
+        let mut c = Collect::default();
         trace.replay(&mut c);
         c.0
     }
@@ -1027,7 +1015,7 @@ mod tests {
             .with_disk(Some(DiskTier::new(&dir, 64 * 1024 * 1024).unwrap()));
         let mut first = InstCounts::new();
         store
-            .capture_or_replay(key.clone(), &p, &layout, &cfg, &mut first)
+            .capture_or_replay_shared(key.clone(), &p, &layout, &cfg, &mut first)
             .unwrap();
 
         // Simulate a process restart: fresh memory tier, same directory.
@@ -1036,7 +1024,7 @@ mod tests {
         let ((), report) = vp_trace::scoped(|| {
             let mut second = InstCounts::new();
             fresh
-                .capture_or_replay(key.clone(), &p, &layout, &cfg, &mut second)
+                .capture_or_replay_shared(key.clone(), &p, &layout, &cfg, &mut second)
                 .unwrap();
             assert_eq!(first, second);
         });

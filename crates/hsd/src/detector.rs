@@ -21,7 +21,7 @@
 //! exists precisely to tolerate these artifacts.
 
 use crate::signature::DetectionHistory;
-use vp_exec::{col, ColumnBatch, Retired, Sink};
+use vp_exec::{col, ColEvent, Sink};
 use vp_trace::Counter;
 
 /// Hot spots snapshotted into records.
@@ -390,40 +390,12 @@ impl HotSpotDetector {
 }
 
 impl Sink for HotSpotDetector {
-    fn retire(&mut self, r: &Retired) {
-        if let Some(c) = &r.ctrl {
-            if c.is_cond {
-                self.observe(r.addr, c.arch_taken);
-            }
-        }
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // The detector only looks at conditional branches (~1 in 5 events
-        // on the SPEC-like workloads); filtering the chunk here keeps the
-        // skip path a straight-line scan with `observe` inlined once.
-        for r in batch {
-            if let Some(c) = &r.ctrl {
-                if c.is_cond {
-                    self.observe(r.addr, c.arch_taken);
-                }
-            }
-        }
-    }
-
-    fn wants_columns(&self) -> bool {
-        true
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        // Pre-filtered column pass: the skip path for the ~4-in-5
-        // non-branch events is a single byte test over the flat flag
-        // column — no `Option<Ctrl>` chase through 120-byte records.
-        for i in 0..b.len() {
-            let f = b.flags[i];
-            if f & col::COND != 0 {
-                self.observe(b.addr[i], f & col::ARCH_TAKEN != 0);
-            }
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        // The detector watches only conditional branches (~1 in 5 events
+        // on the SPEC-like workloads): the skip path is one byte test.
+        if e.flags & col::COND != 0 {
+            self.observe(e.addr, e.flags & col::ARCH_TAKEN != 0);
         }
     }
 }
@@ -440,6 +412,24 @@ mod tests {
                 det.observe(a, taken[i % taken.len()]);
             }
         }
+    }
+
+    #[test]
+    fn retire_observes_only_conditional_branches() {
+        let loc = vp_isa::CodeRef::new(0, 0);
+        let addrs: Vec<u64> = (0..8).map(|i| 0x1000 + 4 * i).collect();
+        let mut via_sink = HotSpotDetector::new(HsdConfig::table2());
+        let mut direct = HotSpotDetector::new(HsdConfig::table2());
+        for i in 0..4000u64 {
+            for &a in &addrs {
+                via_sink.retire(ColEvent::plain(loc, a + 2));
+                via_sink.retire(ColEvent::cond_branch(loc, a, i % 3 != 0));
+                direct.observe(a, i % 3 != 0);
+            }
+        }
+        assert_eq!(via_sink.branches_retired(), direct.branches_retired());
+        assert_eq!(via_sink.records(), direct.records());
+        assert!(!via_sink.records().is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-branch dynamic profiling sink (ground truth for Figure 9).
 
-use vp_exec::{FxHashMap, Retired, Sink};
+use vp_exec::{col, ColEvent, FxHashMap, Sink};
 
 /// Exact per-static-branch dynamic counts, keyed by branch address — the
 /// oracle the hardware profiler approximates.
@@ -43,65 +43,13 @@ impl BranchCounts {
 }
 
 impl Sink for BranchCounts {
-    fn retire(&mut self, r: &Retired) {
-        if let Some(c) = &r.ctrl {
-            if c.is_cond {
-                let e = self.map.entry(r.addr).or_insert((0, 0));
-                e.0 += 1;
-                if c.arch_taken {
-                    e.1 += 1;
-                }
-                self.total += 1;
-            }
-        }
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // Accumulate the total in a register across the chunk; the map
-        // update (the expensive part) only runs for conditional branches.
-        let mut total = 0u64;
-        for r in batch {
-            if let Some(c) = &r.ctrl {
-                if c.is_cond {
-                    let e = self.map.entry(r.addr).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += u64::from(c.arch_taken);
-                    total += 1;
-                }
-            }
-        }
-        self.total += total;
-    }
-}
-
-/// Test-only event constructors shared by this crate's unit tests.
-#[cfg(test)]
-pub mod tests_support {
-    use vp_exec::{Ctrl, Retired};
-    use vp_isa::{CodeRef, FuClass};
-
-    /// A retired conditional branch at `addr`.
-    pub fn branch_event(addr: u64, taken: bool) -> Retired {
-        Retired {
-            loc: CodeRef::new(0, 0),
-            addr,
-            fu: FuClass::Branch,
-            latency: 1,
-            def: None,
-            uses: [None; 3],
-            mem_addr: None,
-            is_store: false,
-            ctrl: Some(Ctrl {
-                block: CodeRef::new(0, 0),
-                is_cond: true,
-                arch_taken: taken,
-                taken,
-                is_call: false,
-                is_ret: false,
-                target: 0,
-                ret_addr: 0,
-            }),
-            in_package: false,
+    #[inline]
+    fn retire(&mut self, e: ColEvent) {
+        if e.flags & col::COND != 0 {
+            let c = self.map.entry(e.addr).or_insert((0, 0));
+            c.0 += 1;
+            c.1 += u64::from(e.flags & col::ARCH_TAKEN != 0);
+            self.total += 1;
         }
     }
 }
@@ -109,39 +57,14 @@ pub mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::Ctrl;
-    use vp_isa::{CodeRef, FuClass};
-
-    fn branch_event(addr: u64, taken: bool) -> Retired {
-        Retired {
-            loc: CodeRef::new(0, 0),
-            addr,
-            fu: FuClass::Branch,
-            latency: 1,
-            def: None,
-            uses: [None; 3],
-            mem_addr: None,
-            is_store: false,
-            ctrl: Some(Ctrl {
-                block: CodeRef::new(0, 0),
-                is_cond: true,
-                arch_taken: taken,
-                taken,
-                is_call: false,
-                is_ret: false,
-                target: 0,
-                ret_addr: 0,
-            }),
-            in_package: false,
-        }
-    }
+    use vp_isa::CodeRef;
 
     #[test]
     fn counts_per_branch() {
         let mut bc = BranchCounts::new();
-        bc.retire(&branch_event(0x10, true));
-        bc.retire(&branch_event(0x10, false));
-        bc.retire(&branch_event(0x20, true));
+        bc.retire(ColEvent::cond_branch(CodeRef::new(0, 0), 0x10, true));
+        bc.retire(ColEvent::cond_branch(CodeRef::new(0, 0), 0x10, false));
+        bc.retire(ColEvent::cond_branch(CodeRef::new(0, 0), 0x20, true));
         assert_eq!(bc.exec(0x10), 2);
         assert_eq!(bc.taken(0x10), 1);
         assert_eq!(bc.total(), 3);
@@ -151,9 +74,7 @@ mod tests {
     #[test]
     fn non_branches_ignored() {
         let mut bc = BranchCounts::new();
-        let mut ev = branch_event(0x10, true);
-        ev.ctrl = None;
-        bc.retire(&ev);
+        bc.retire(ColEvent::plain(CodeRef::new(0, 0), 0x10));
         assert_eq!(bc.total(), 0);
     }
 }

@@ -176,7 +176,8 @@ mod tests {
         let mut bc = BranchCounts::new();
         for &(addr, execs) in entries {
             for i in 0..execs {
-                bc.retire(&crate::branches::tests_support::branch_event(
+                bc.retire(vp_exec::ColEvent::cond_branch(
+                    vp_isa::CodeRef::new(0, 0),
                     addr,
                     i % 2 == 0,
                 ));

@@ -167,10 +167,10 @@ mod tests {
     }
 
     fn run(p: &vp_program::Program) -> u64 {
-        use vp_exec::{Executor, NullSink, RunConfig};
+        use vp_exec::{Executor, RunConfig};
         let layout = vp_program::Layout::natural(p);
         let mut ex = Executor::new(p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         ex.reg(Reg::int(21))
     }
 

@@ -3,14 +3,14 @@
 //! Cycle-level timing substrate: the paper's Table 2 EPIC machine as a
 //! trace-driven model.
 //!
-//! Attach a [`TimingModel`] to a `vp-exec` execution as a sink and read
+//! Replay a captured `vp-exec` trace through a [`TimingModel`] and read
 //! cycle counts afterwards — the speedup experiment of the paper's
 //! Figure 10 simulates the original and the vacuum-packed binary this way
 //! and compares cycles.
 //!
 //! ```
 //! use vp_program::{ProgramBuilder, Layout};
-//! use vp_exec::{Executor, RunConfig};
+//! use vp_exec::{CapturedTrace, RunConfig};
 //! use vp_sim::{TimingModel, MachineConfig};
 //! use vp_isa::{Cond, Reg, Src};
 //!
@@ -27,7 +27,8 @@
 //! let p = pb.build();
 //! let layout = Layout::natural(&p);
 //! let mut timing = TimingModel::new(MachineConfig::table2());
-//! Executor::new(&p, &layout).run(&mut timing, &RunConfig::default())?;
+//! let trace = CapturedTrace::capture(&p, &layout, &RunConfig::default())?;
+//! timing.replay_trace(&trace);
 //! assert!(timing.cycles() > 0);
 //! assert!(timing.ipc() > 0.5); // tight loop, well predicted
 //! # Ok::<(), vp_exec::ExecError>(())

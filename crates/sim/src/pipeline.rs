@@ -23,7 +23,7 @@
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::predictor::{Btb, Gshare, Ras};
-use vp_exec::{col, CapturedTrace, ColumnBatch, Retired, Sink};
+use vp_exec::{col, CapturedTrace, ColEvent, Retired, Sink};
 use vp_isa::reg::NUM_REGS;
 use vp_isa::FuClass;
 
@@ -260,39 +260,14 @@ impl TimingModel {
     }
 }
 
-impl Sink for TimingModel {
-    fn retire(&mut self, r: &Retired) {
-        self.stats.retired += 1;
-        self.retire_one(r);
-    }
-
-    fn retire_batch(&mut self, batch: &[Retired]) {
-        // One retired-count update per chunk; `retire_one` stays inlined in
-        // this loop, so the pipeline state it threads (fetch group,
-        // register scoreboard, issue-ring cursor, predictor tables) is kept
-        // hot across consecutive events instead of being re-dispatched per
-        // event through the sink boundary.
-        self.stats.retired += batch.len() as u64;
-        for r in batch {
-            self.retire_one(r);
-        }
-    }
-
-    fn wants_columns(&self) -> bool {
-        true
-    }
-
-    fn retire_columns(&mut self, b: &ColumnBatch<'_>) {
-        self.retire_columns_fused(b);
-    }
-}
-
 impl TimingModel {
-    /// Retires one instruction through the model, excluding the
-    /// `stats.retired` bump (done by the [`Sink`] wrappers so the batched
-    /// path can hoist it out of the loop).
+    /// Retires one instruction through the model: the struct-form
+    /// reference implementation. [`TimingModel::replay_trace`] runs the
+    /// same operation sequence over the column encoding; the two are
+    /// pinned bit-identical across the suite.
     #[inline]
-    fn retire_one(&mut self, r: &Retired) {
+    pub fn retire_one(&mut self, r: &Retired) {
+        self.stats.retired += 1;
         // --- fetch ---
         if self.fetch_left == 0 {
             self.fetch_cycle += 1;
@@ -403,81 +378,45 @@ impl TimingModel {
         }
     }
 
-    /// The fused column kernel behind [`Sink::retire_columns`].
+    /// Replays `trace` through the model and returns the original run's
+    /// stats.
     ///
-    /// Observationally identical to running [`TimingModel::retire_one`]
-    /// over the chunk (the equivalence is pinned by tests across every
-    /// suite workload), restructured for throughput the same way the
-    /// replay decoder was:
-    ///
-    /// * the per-event fetch/issue state (fetch cycle and group budget,
-    ///   current I-line, last issue cycle) lives in locals for the chunk
-    ///   and is written back once;
-    /// * the register scoreboard is a local array with two sentinel slots,
-    ///   so absent sources read an always-zero entry and absent
-    ///   destinations write a scratch entry — no `Option` tests in the
-    ///   issue math;
-    /// * events are read from the flat [`ColumnBatch`] columns (one byte
-    ///   of flags plus four words) instead of the 120-byte `Retired`
-    ///   record with its `Option<Ctrl>` indirection;
-    /// * the I-line index uses a shift when the line size is a power of
-    ///   two, and the gshare predict/update pair is fused into one
-    ///   branch-free table walk ([`Gshare::predict_update`]).
-    fn retire_columns_fused(&mut self, b: &ColumnBatch<'_>) {
-        let n = b.len();
-        self.stats.retired += n as u64;
-        let k = self.fused_consts();
-        let mut st = self.fused_enter();
-
-        // Re-slicing every column to the common batch length proves the
-        // per-event loads in range, so the loop body compiles with no
-        // bounds checks on any of the five columns.
-        let col_flags = &b.flags[..n];
-        let col_addr = &b.addr[..n];
-        let col_exec = &b.exec[..n];
-        let col_mem = &b.mem[..n];
-        let col_tgt = &b.target[..n];
-        for i in 0..n {
-            self.fused_step(
-                &k,
-                &mut st,
-                col_flags[i],
-                col_addr[i],
-                col_exec[i],
-                col_mem[i],
-                col_tgt[i],
-            );
-        }
-        self.fused_exit(&st);
-    }
-
-    /// Replays `trace` through the model by fusing the stream decode with
-    /// the timing step in a single loop ([`CapturedTrace::replay_events_with`]).
-    ///
-    /// This is the fastest replay path for a bare timing model — the
-    /// decode's serial dependency chain (stream cursor, slot index, memory
-    /// anchor) and the model's (fetch cycle, issue cursor, scoreboard)
-    /// are independent per event, so fusing them into one loop lets the
-    /// host overlap the two chains instead of paying them additively
-    /// across alternating decode/sim chunk loops; the column values also
-    /// flow through registers rather than a scratch-column round trip.
-    /// Observationally identical to [`CapturedTrace::replay`] into the
-    /// model (pinned by tests); use the generic [`Sink`] path when the
-    /// model is composed with other sinks.
+    /// The model's per-event state (fetch cycle and group budget, current
+    /// I-line, issue cursor, scoreboard) is hoisted into a local
+    /// `FusedState` for the whole replay and written back once, and each
+    /// [`ColEvent`] goes through `fused_step` — the exact
+    /// operation sequence of [`TimingModel::retire_one`], reading the
+    /// column encoding. Bit-identity with `retire_one` driven live is
+    /// pinned across the suite.
     pub fn replay_trace(&mut self, trace: &CapturedTrace) -> vp_exec::RunStats {
-        let k = self.fused_consts();
-        let mut st = self.fused_enter();
-        let mut retired = 0u64;
-        let stats = trace.replay_events_with(|e| {
-            retired += 1;
-            self.fused_step(&k, &mut st, e.flags, e.addr, e.exec, e.mem, e.target);
-        });
+        /// Adapter threading the hoisted state through the replay loop.
+        struct Fused<'m> {
+            model: &'m mut TimingModel,
+            k: FusedConsts,
+            st: FusedState,
+            retired: u64,
+        }
+        impl Sink for Fused<'_> {
+            #[inline(always)]
+            fn retire(&mut self, e: ColEvent) {
+                self.retired += 1;
+                self.model.fused_step(&self.k, &mut self.st, e);
+            }
+        }
+        let mut fused = Fused {
+            k: self.fused_consts(),
+            st: self.fused_enter(),
+            model: self,
+            retired: 0,
+        };
+        let stats = trace.replay(&mut fused);
+        let Fused { retired, st, .. } = fused;
         self.stats.retired += retired;
         self.fused_exit(&st);
         stats
     }
 
-    /// Hoists the config-derived constants the fused kernels read per
+    /// Hoists the config-derived constants the fused step reads per
     /// event.
     fn fused_consts(&self) -> FusedConsts {
         let line_bytes = self.cfg.line_bytes as u64;
@@ -501,7 +440,7 @@ impl TimingModel {
     }
 
     /// Copies the model's per-event pipeline state into the hoisted form
-    /// the fused kernels thread through registers.
+    /// the fused step threads through registers.
     fn fused_enter(&self) -> FusedState {
         // Local scoreboard with the two sentinel slots the exec-word
         // encoding points absent operands at: `col::USE_NONE` stays zero
@@ -539,17 +478,15 @@ impl TimingModel {
     /// sequence of [`TimingModel::retire_one`], reading the column
     /// encoding and threading the hoisted state.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn fused_step(
-        &mut self,
-        k: &FusedConsts,
-        st: &mut FusedState,
-        flags: u8,
-        addr: u64,
-        exec: u64,
-        mem: u64,
-        target: u64,
-    ) {
+    fn fused_step(&mut self, k: &FusedConsts, st: &mut FusedState, e: ColEvent) {
+        let ColEvent {
+            flags,
+            addr,
+            exec,
+            mem,
+            target,
+            ..
+        } = e;
         // --- fetch ---
         if st.fetch_left == 0 {
             st.fetch_cycle += 1;
@@ -624,8 +561,8 @@ impl TimingModel {
                     mispredict = true;
                 }
             } else if flags & col::CALL != 0 {
-                // For calls the target column carries the RAS return
-                // address (see the `ColumnBatch` docs).
+                // For calls the target carries the RAS return address
+                // (see the `ColEvent` docs).
                 self.ras.push(target);
             }
 
@@ -656,7 +593,7 @@ impl TimingModel {
     }
 }
 
-/// Config-derived constants hoisted once per fused replay or chunk.
+/// Config-derived constants hoisted once per replay.
 #[derive(Clone, Copy)]
 struct FusedConsts {
     issue_width: u32,
@@ -670,7 +607,7 @@ struct FusedConsts {
 }
 
 /// The per-event pipeline state of [`TimingModel`], hoisted into a stack
-/// value for the duration of a fused replay or chunk so the step kernel
+/// value for the duration of a replay so the step kernel
 /// threads it through registers; [`TimingModel::fused_exit`] writes it
 /// back. The hot branch counters accumulate here and flush to the stats
 /// block once per replay.
@@ -716,7 +653,7 @@ mod tests {
     fn independent_alu_ops_bounded_by_unit_count() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..1000u64 {
-            tm.retire(&inst(
+            tm.retire_one(&inst(
                 0x1000 + 4 * (i % 16),
                 FuClass::IntAlu,
                 Some(Reg::int(20)),
@@ -735,7 +672,7 @@ mod tests {
         let mut tm = TimingModel::new(MachineConfig::table2());
         let r = Reg::int(20);
         for i in 0..1000u64 {
-            tm.retire(&inst(
+            tm.retire_one(&inst(
                 0x1000 + 4 * (i % 16),
                 FuClass::IntAlu,
                 Some(r),
@@ -758,13 +695,13 @@ mod tests {
         // Warm the hit model's cache.
         let mut warm = inst(0x1000, FuClass::Mem, Some(Reg::int(20)), [None; 3], 2);
         warm.mem_addr = Some(0x9000);
-        hit.retire(&warm);
+        hit.retire_one(&warm);
         for tm in [&mut hit, &mut miss] {
             let mut ld = inst(0x1010, FuClass::Mem, Some(Reg::int(21)), [None; 3], 2);
             ld.mem_addr = Some(0x9000);
-            tm.retire(&ld);
+            tm.retire_one(&ld);
             // Dependent consumer.
-            tm.retire(&inst(
+            tm.retire_one(&inst(
                 0x1014,
                 FuClass::IntAlu,
                 Some(Reg::int(22)),
@@ -798,8 +735,8 @@ mod tests {
                     target: if taken { 0x2000 } else { 0x1004 },
                     ret_addr: 0,
                 });
-                tm.retire(&br);
-                tm.retire(&inst(
+                tm.retire_one(&br);
+                tm.retire_one(&inst(
                     if taken { 0x2000 } else { 0x1004 },
                     FuClass::IntAlu,
                     None,
@@ -837,7 +774,7 @@ mod tests {
         let mut tiny_loop = TimingModel::new(cfg);
         let mut huge_stride = TimingModel::new(cfg);
         for i in 0..2000u64 {
-            tiny_loop.retire(&inst(
+            tiny_loop.retire_one(&inst(
                 0x1000 + 4 * (i % 8),
                 FuClass::IntAlu,
                 None,
@@ -845,7 +782,7 @@ mod tests {
                 1,
             ));
             // Stride exceeding L1I capacity: every line misses.
-            huge_stride.retire(&inst(
+            huge_stride.retire_one(&inst(
                 0x1000 + 4096 * i,
                 FuClass::IntAlu,
                 None,
@@ -861,7 +798,7 @@ mod tests {
     fn stats_count_retirements() {
         let mut tm = TimingModel::new(MachineConfig::table2());
         for i in 0..10 {
-            tm.retire(&inst(0x1000 + 4 * i, FuClass::IntAlu, None, [None; 3], 1));
+            tm.retire_one(&inst(0x1000 + 4 * i, FuClass::IntAlu, None, [None; 3], 1));
         }
         assert_eq!(tm.stats().retired, 10);
         assert!(tm.ipc() > 0.0);
@@ -902,7 +839,7 @@ mod ras_tests {
         let layout = Layout::natural(&p);
         let mut tm = TimingModel::new(MachineConfig::table2());
         Executor::new(&p, &layout)
-            .run(&mut tm, &RunConfig::default())
+            .run(|r| tm.retire_one(r), &RunConfig::default())
             .unwrap();
         // 2000 returns; after warmup virtually all predicted.
         assert!(

@@ -50,7 +50,7 @@ pub use vp_workloads as workloads;
 pub mod prelude {
     pub use vp_core::{pack, PackConfig, PackOutput};
     pub use vp_exec::{
-        CapturedTrace, DiskTier, Executor, InstCounts, NullSink, RunConfig, Sink, TraceKey,
+        CapturedTrace, ColEvent, DiskTier, Executor, InstCounts, RunConfig, Sink, TraceKey,
         TraceStore,
     };
     pub use vp_hsd::{filter_hot_spots, FilterConfig, HotSpotDetector, HsdConfig, Phase};

@@ -166,7 +166,7 @@ pub fn build(scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -175,7 +175,7 @@ mod tests {
         p.validate().unwrap();
         let layout = Layout::natural(&p);
         let stats = Executor::new(&p, &layout)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
         assert!(stats.retired > 500_000);
@@ -189,7 +189,7 @@ mod tests {
         let p = build(1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let infl = p.data[2].base;
         let touched = (0..POINTS as u64)
             .filter(|i| ex.memory().read(infl + 8 * i) > 0)

@@ -209,7 +209,7 @@ pub fn build(scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
         p.validate().unwrap();
         let layout = Layout::natural(&p);
         let stats = Executor::new(&p, &layout)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
         assert!(stats.retired > 1_000_000, "retired {}", stats.retired);
@@ -232,7 +232,7 @@ mod tests {
         let p = build(1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let in_base = p.data[0].base;
         // dec_base is the 4th segment.
         let dec_base = p.data[3].base;

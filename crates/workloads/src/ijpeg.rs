@@ -169,14 +169,14 @@ pub fn build(input: Input, scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     fn emitted_tokens(input: Input) -> u64 {
         let p = build(input, 1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         ex.reg(Reg::int(59))
     }
 
@@ -187,7 +187,7 @@ mod tests {
             p.validate().unwrap();
             let layout = Layout::natural(&p);
             let stats = Executor::new(&p, &layout)
-                .run(&mut NullSink, &RunConfig::default())
+                .run(|_| {}, &RunConfig::default())
                 .unwrap();
             assert_eq!(stats.stop, vp_exec::StopReason::Halted, "{input:?}");
             assert!(stats.retired > 500_000);

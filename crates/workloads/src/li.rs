@@ -273,7 +273,7 @@ pub fn build(input: Input, scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_isa::Reg;
     use vp_program::Layout;
 
@@ -282,7 +282,7 @@ mod tests {
         let p = build(Input::A, 1);
         let layout = Layout::natural(&p);
         let stats = Executor::new(&p, &layout)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
         assert!(stats.retired > 200_000);
@@ -294,7 +294,7 @@ mod tests {
         let p = build(Input::B, 1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         // total accumulated in r57 = 4 per repetition × 12 reps
         assert_eq!(ex.reg(Reg::int(57)), 4 * 12);
     }
@@ -304,10 +304,10 @@ mod tests {
         let (pa, pc) = (build(Input::A, 1), build(Input::C, 1));
         let (la, lc) = (Layout::natural(&pa), Layout::natural(&pc));
         let sa = Executor::new(&pa, &la)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         let sc = Executor::new(&pc, &lc)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert!(sc.retired > sa.retired * 2);
     }

@@ -224,7 +224,7 @@ pub fn build(scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, InstCounts, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -232,13 +232,12 @@ mod tests {
         let p = build(1);
         p.validate().unwrap();
         let layout = Layout::natural(&p);
-        let mut counts = InstCounts::new();
         let stats = Executor::new(&p, &layout)
-            .run(&mut counts, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
         assert!(stats.retired > 500_000, "retired {}", stats.retired);
-        assert!(counts.cond_branches > 100_000);
+        assert!(stats.cond_branches > 100_000);
     }
 
     #[test]
@@ -247,10 +246,10 @@ mod tests {
         let l1 = Layout::natural(&p1);
         let l2 = Layout::natural(&p2);
         let s1 = Executor::new(&p1, &l1)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         let s2 = Executor::new(&p2, &l2)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(s1.retired, s2.retired);
     }

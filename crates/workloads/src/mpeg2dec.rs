@@ -165,7 +165,7 @@ pub fn build(scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
         p.validate().unwrap();
         let layout = Layout::natural(&p);
         let stats = Executor::new(&p, &layout)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
         assert!(stats.retired > 1_000_000);
@@ -185,7 +185,7 @@ mod tests {
         let p = build(1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let frame_base = p.data[2].base;
         let nonzero = (0..512)
             .filter(|i| ex.memory().read(frame_base + 8 * i) != 0)

@@ -192,7 +192,7 @@ pub fn build(scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         p.validate().unwrap();
         let layout = Layout::natural(&p);
         let stats = Executor::new(&p, &layout)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
         assert!(stats.retired > 800_000, "retired {}", stats.retired);
@@ -212,7 +212,7 @@ mod tests {
         let p = build(1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let dict = p.data[1].base;
         let hits: u64 = (0..DICT_SIZE as u64)
             .map(|i| ex.memory().read(dict + 8 * i))

@@ -178,7 +178,7 @@ pub fn build(input: Input, scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
             p.validate().unwrap();
             let layout = Layout::natural(&p);
             let stats = Executor::new(&p, &layout)
-                .run(&mut NullSink, &RunConfig::default())
+                .run(|_| {}, &RunConfig::default())
                 .unwrap();
             assert_eq!(stats.stop, vp_exec::StopReason::Halted, "{input:?}");
         }
@@ -202,7 +202,7 @@ mod tests {
                 let p = build(i, 1);
                 let layout = Layout::natural(&p);
                 Executor::new(&p, &layout)
-                    .run(&mut NullSink, &RunConfig::default())
+                    .run(|_| {}, &RunConfig::default())
                     .unwrap()
                     .retired
             })

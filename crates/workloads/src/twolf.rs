@@ -136,7 +136,7 @@ pub fn build(scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, InstCounts, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -144,12 +144,11 @@ mod tests {
         let p = build(1);
         p.validate().unwrap();
         let layout = Layout::natural(&p);
-        let mut counts = InstCounts::new();
         let stats = Executor::new(&p, &layout)
-            .run(&mut counts, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert_eq!(stats.stop, vp_exec::StopReason::Halted);
-        assert!(counts.cond_branches > 300_000);
+        assert!(stats.cond_branches > 300_000);
     }
 
     #[test]
@@ -157,7 +156,7 @@ mod tests {
         let p = build(1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let (hot, mid, frozen) = (
             ex.reg(Reg::int(56)),
             ex.reg(Reg::int(57)),

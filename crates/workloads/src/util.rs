@@ -143,7 +143,7 @@ impl ServiceCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_isa::{Cond, Src};
     use vp_program::{Layout, ProgramBuilder};
 
@@ -162,12 +162,11 @@ mod tests {
         pb.set_entry(main);
         let p = pb.build();
         let layout = Layout::natural(&p);
-        let mut counts = vp_exec::InstCounts::new();
-        Executor::new(&p, &layout)
-            .run(&mut counts, &RunConfig::default())
+        let stats = Executor::new(&p, &layout)
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         // 2 functions x 50 sections x 3 rounds: 300 conditional branches.
-        assert_eq!(counts.cond_branches, 300);
+        assert_eq!(stats.cond_branches, 300);
         assert_eq!(svc.len(), 2);
         assert!(!svc.is_empty());
     }
@@ -194,7 +193,7 @@ mod tests {
         let p = pb.build();
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let low = ex.reg(Reg::int(22));
         assert!(
             (400..600).contains(&low),

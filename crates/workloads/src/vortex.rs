@@ -227,7 +227,7 @@ pub fn build(input: Input, scale: u32) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_exec::{Executor, NullSink, RunConfig};
+    use vp_exec::{Executor, RunConfig};
     use vp_program::Layout;
 
     #[test]
@@ -237,7 +237,7 @@ mod tests {
             p.validate().unwrap();
             let layout = Layout::natural(&p);
             let stats = Executor::new(&p, &layout)
-                .run(&mut NullSink, &RunConfig::default())
+                .run(|_| {}, &RunConfig::default())
                 .unwrap();
             assert_eq!(stats.stop, vp_exec::StopReason::Halted, "{input:?}");
         }
@@ -248,7 +248,7 @@ mod tests {
         let p = build(Input::A, 1);
         let layout = Layout::natural(&p);
         let mut ex = Executor::new(&p, &layout);
-        ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        ex.run(|_| {}, &RunConfig::default()).unwrap();
         let hits = ex.reg(Reg::int(59));
         // 16-bit keys were inserted; lookups draw from 17 bits, so roughly
         // half the lookups can hit (collisions in the wrapped pool lose
@@ -268,10 +268,10 @@ mod tests {
         let (pa, pb_) = (build(Input::A, 1), build(Input::B, 1));
         let (la, lb) = (Layout::natural(&pa), Layout::natural(&pb_));
         let sa = Executor::new(&pa, &la)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         let sb = Executor::new(&pb_, &lb)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .unwrap();
         assert!(sb.retired > sa.retired * 3);
     }

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 1 (hardware): run under the Hot Spot Detector.
     let mut hsd = HotSpotDetector::new(HsdConfig::table2());
-    Executor::new(&program, &layout).run(&mut hsd, &RunConfig::default())?;
+    CapturedTrace::capture(&program, &layout, &RunConfig::default())?.replay(&mut hsd);
     println!("raw hot-spot detections: {}", hsd.records().len());
 
     // Step 1 (software): deduplicate into phases.
@@ -113,7 +113,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run the rewritten binary and measure residency.
     let packed_layout = Layout::natural(&out.program);
     let mut counts = InstCounts::new();
-    Executor::new(&out.program, &packed_layout).run(&mut counts, &RunConfig::default())?;
+    CapturedTrace::capture(&out.program, &packed_layout, &RunConfig::default())?
+        .replay(&mut counts);
     println!(
         "package coverage: {:.1}%",
         100.0 * counts.package_coverage()

@@ -229,7 +229,7 @@ fn two_level_inlined_exits_reconstruct_frames() {
     // Reference run.
     let layout = Layout::natural(&program);
     let mut ex = Executor::new(&program, &layout);
-    ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+    ex.run(|_| {}, &RunConfig::default()).unwrap();
     let want = ex.reg(Reg::int(57));
 
     // Profile + pack + run the rewritten binary.
@@ -248,7 +248,8 @@ fn two_level_inlined_exits_reconstruct_frames() {
     let packed_layout = Layout::natural(&out.program);
     let mut ex = Executor::new(&out.program, &packed_layout);
     let mut counts = InstCounts::new();
-    ex.run(&mut counts, &RunConfig::default()).unwrap();
+    ex.run(|r| counts.retire(ColEvent::from(r)), &RunConfig::default())
+        .unwrap();
     assert_eq!(
         ex.reg(Reg::int(57)),
         want,

@@ -69,8 +69,7 @@ fn run_block(insts: &[Inst], seed: &[u64]) -> (Vec<u64>, Vec<u64>) {
     let p = pb.build();
     let layout = Layout::natural(&p);
     let mut ex = Executor::new(&p, &layout);
-    ex.run(&mut NullSink, &RunConfig::default())
-        .expect("block runs");
+    ex.run(|_| {}, &RunConfig::default()).expect("block runs");
     let regs = (20..28).map(|i| ex.reg(Reg::int(i))).collect();
     let mem = (0..seed.len())
         .map(|i| ex.memory().read(base + 8 * i as u64))
@@ -146,7 +145,7 @@ fn block_order_is_semantics_free() {
         let p = looped_program(bias);
         let natural = Layout::natural(&p);
         let mut ex = Executor::new(&p, &natural);
-        let s0 = ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        let s0 = ex.run(|_| {}, &RunConfig::default()).unwrap();
         let acc0 = ex.reg(Reg::int(21));
 
         // Deterministic pseudo-random permutation of the blocks.
@@ -164,7 +163,7 @@ fn block_order_is_semantics_free() {
         lo.set_block_order(FuncId(0), order);
         let shuffled = Layout::new(&p, &lo);
         let mut ex = Executor::new(&p, &shuffled);
-        let s1 = ex.run(&mut NullSink, &RunConfig::default()).unwrap();
+        let s1 = ex.run(|_| {}, &RunConfig::default()).unwrap();
         assert_eq!(ex.reg(Reg::int(21)), acc0, "case {case}");
         // Architectural branch counts match; total retired may differ by
         // the extra jumps the layout introduces.

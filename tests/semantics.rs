@@ -15,9 +15,7 @@ use vacuum_packing::prelude::*;
 /// Runs `program` under `layout` and snapshots the architectural state.
 fn run_and_snapshot(program: &Program, layout: &Layout) -> (Vec<u64>, Vec<Vec<u64>>) {
     let mut ex = Executor::new(program, layout);
-    let stats = ex
-        .run(&mut NullSink, &RunConfig::default())
-        .expect("run succeeds");
+    let stats = ex.run(|_| {}, &RunConfig::default()).expect("run succeeds");
     assert_eq!(stats.stop, vacuum_packing::exec::StopReason::Halted);
     let regs: Vec<u64> = (0..64).map(|i| ex.reg(Reg::int(i))).collect();
     let mem: Vec<Vec<u64>> = program

@@ -15,9 +15,9 @@ fn hsd_counters_match_detector_state() {
 
     let ((records, phases), report) = trace::scoped(|| {
         let mut hsd = HotSpotDetector::new(HsdConfig::table2());
-        Executor::new(&program, &layout)
-            .run(&mut hsd, &RunConfig::default())
-            .expect("twolf runs");
+        CapturedTrace::capture(&program, &layout, &RunConfig::default())
+            .expect("twolf runs")
+            .replay(&mut hsd);
         let records = hsd.records().to_vec();
         let phases = filter_hot_spots(&records, &FilterConfig::default());
         (records, phases)
@@ -50,9 +50,9 @@ fn hsd_counters_match_detector_state() {
     // Determinism: a second identical run reproduces the same counters.
     let (_, report2) = trace::scoped(|| {
         let mut hsd = HotSpotDetector::new(HsdConfig::table2());
-        Executor::new(&program, &layout)
-            .run(&mut hsd, &RunConfig::default())
-            .expect("twolf runs");
+        CapturedTrace::capture(&program, &layout, &RunConfig::default())
+            .expect("twolf runs")
+            .replay(&mut hsd);
         filter_hot_spots(hsd.records(), &FilterConfig::default()).len()
     });
     for key in [
@@ -103,7 +103,7 @@ fn exec_counters_match_run_stats() {
     let layout = Layout::natural(&program);
     let (stats, report) = trace::scoped(|| {
         Executor::new(&program, &layout)
-            .run(&mut NullSink, &RunConfig::default())
+            .run(|_| {}, &RunConfig::default())
             .expect("twolf runs")
     });
     assert_eq!(report.counter("exec.retired"), stats.retired);

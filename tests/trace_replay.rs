@@ -39,13 +39,18 @@ fn replay_is_bit_equal_to_live_execution() {
     for (name, program) in three_workloads() {
         let layout = Layout::natural(&program);
 
-        // Live: interpret the program, fanning out to all three consumers.
+        // Live: interpret the program, fanning every event out to the
+        // three consumers (the timing model through its struct-form
+        // reference step).
         let mut live_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut live_counts = InstCounts::new();
         let mut live_timing = TimingModel::new(machine);
         let live_stats = Executor::new(&program, &layout)
             .run(
-                &mut (&mut live_hsd, &mut live_counts, &mut live_timing),
+                |r| {
+                    (&mut live_hsd, &mut live_counts).retire(ColEvent::from(r));
+                    live_timing.retire_one(r);
+                },
                 &cfg,
             )
             .unwrap_or_else(|e| panic!("{name}: live run failed: {e}"));
@@ -56,8 +61,8 @@ fn replay_is_bit_equal_to_live_execution() {
         let mut replay_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut replay_counts = InstCounts::new();
         let mut replay_timing = TimingModel::new(machine);
-        let replay_stats =
-            capture.replay(&mut (&mut replay_hsd, &mut replay_counts, &mut replay_timing));
+        let replay_stats = capture.replay(&mut (&mut replay_hsd, &mut replay_counts));
+        assert_eq!(replay_timing.replay_trace(&capture), replay_stats);
 
         assert_eq!(live_stats, replay_stats, "{name}: RunStats diverged");
         assert_eq!(live_counts, replay_counts, "{name}: InstCounts diverged");
@@ -132,12 +137,13 @@ fn one_megabyte_store_evicts_without_changing_results() {
 
                 let mut cached = InstCounts::new();
                 let stats = store
-                    .capture_or_replay(key, program, &layout, &cfg, &mut cached)
-                    .expect("run succeeds");
+                    .capture_or_replay_shared(key, program, &layout, &cfg, &mut cached)
+                    .expect("run succeeds")
+                    .1;
 
                 let mut direct = InstCounts::new();
                 let direct_stats = Executor::new(program, &layout)
-                    .run(&mut direct, &cfg)
+                    .run(|r| direct.retire(ColEvent::from(r)), &cfg)
                     .expect("run succeeds");
 
                 assert_eq!(stats, direct_stats, "sweep {sweep} {label}: stats");
@@ -183,12 +189,14 @@ fn disk_round_trip_replays_bit_exact_on_three_workloads() {
         let mut orig_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut orig_counts = InstCounts::new();
         let mut orig_timing = TimingModel::new(machine);
-        let orig_stats = original.replay(&mut (&mut orig_hsd, &mut orig_counts, &mut orig_timing));
+        let orig_stats = original.replay(&mut (&mut orig_hsd, &mut orig_counts));
+        orig_timing.replay_trace(&original);
 
         let mut load_hsd = HotSpotDetector::new(HsdConfig::table2());
         let mut load_counts = InstCounts::new();
         let mut load_timing = TimingModel::new(machine);
-        let load_stats = loaded.replay(&mut (&mut load_hsd, &mut load_counts, &mut load_timing));
+        let load_stats = loaded.replay(&mut (&mut load_hsd, &mut load_counts));
+        load_timing.replay_trace(&loaded);
 
         assert_eq!(orig_stats, load_stats, "{name}: RunStats diverged");
         assert_eq!(orig_counts, load_counts, "{name}: InstCounts diverged");
@@ -222,7 +230,7 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
 
     let mut direct = InstCounts::new();
     let direct_stats = Executor::new(&program, &layout)
-        .run(&mut direct, &cfg)
+        .run(|r| direct.retire(ColEvent::from(r)), &cfg)
         .expect("direct run");
 
     for (mode, mangle) in [
@@ -253,8 +261,9 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
             let key = TraceKey::new("corrupt", &program, &layout, &cfg);
             let mut counts = InstCounts::new();
             let stats = store
-                .capture_or_replay(key, &program, &layout, &cfg, &mut counts)
-                .expect("run succeeds");
+                .capture_or_replay_shared(key, &program, &layout, &cfg, &mut counts)
+                .expect("run succeeds")
+                .1;
             assert_eq!(stats, direct_stats, "{mode}: stats diverged");
             assert_eq!(counts, direct, "{mode}: counts diverged");
         });
@@ -276,7 +285,7 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
             let key = TraceKey::new("corrupt", &program, &layout, &cfg);
             let mut counts = InstCounts::new();
             store
-                .capture_or_replay(key, &program, &layout, &cfg, &mut counts)
+                .capture_or_replay_shared(key, &program, &layout, &cfg, &mut counts)
                 .expect("run succeeds");
         });
         assert_eq!(report.counter("trace_store.disk_hits"), 1, "{mode}");
@@ -285,7 +294,7 @@ fn corrupted_disk_captures_fall_back_to_reexecution() {
     }
 }
 
-/// N threads racing `capture_or_replay` on the same key must produce
+/// N threads racing `capture_or_replay_shared` on the same key must produce
 /// exactly one live execution — the rest wait on the in-flight capture and
 /// replay it — and every thread still observes bit-identical results.
 #[test]
@@ -300,7 +309,7 @@ fn concurrent_capture_or_replay_runs_one_live_execution() {
 
     let mut direct = InstCounts::new();
     let direct_stats = Executor::new(&program, &layout)
-        .run(&mut direct, &cfg)
+        .run(|r| direct.retire(ColEvent::from(r)), &cfg)
         .expect("direct run");
 
     let reports: Vec<trace::TraceReport> = std::thread::scope(|s| {
@@ -312,8 +321,9 @@ fn concurrent_capture_or_replay_runs_one_live_execution() {
                         let key = TraceKey::new("concurrent", &program, &layout, &cfg);
                         let mut counts = InstCounts::new();
                         let stats = store
-                            .capture_or_replay(key, &program, &layout, &cfg, &mut counts)
-                            .expect("run succeeds");
+                            .capture_or_replay_shared(key, &program, &layout, &cfg, &mut counts)
+                            .expect("run succeeds")
+                            .1;
                         (stats, counts)
                     })
                 })
@@ -354,7 +364,7 @@ fn large_store_serves_second_sweep_from_cache() {
             let key = TraceKey::new(label, program, &layout, &cfg);
             let mut counts = InstCounts::new();
             store
-                .capture_or_replay(key, program, &layout, &cfg, &mut counts)
+                .capture_or_replay_shared(key, program, &layout, &cfg, &mut counts)
                 .expect("run succeeds");
         }
     });
@@ -364,68 +374,115 @@ fn large_store_serves_second_sweep_from_cache() {
     assert_eq!(report.counter("trace_store.evictions"), 0);
 }
 
-/// For three real workloads, the batched replay kernel must deliver the
-/// *byte-identical* event sequence of the per-event decoder at every
-/// chunking — the degenerate `VP_REPLAY_BATCH=1` shape, a non-divisor
-/// chunk size that straddles chunk boundaries on every workload, and the
-/// default — and through both batched and per-event sink plumbing.
+/// For every workload of the Table 1 suite, replay must deliver exactly
+/// the live executor's stream mapped through `ColEvent::from` — event by
+/// event, `loc` included — with the same [`RunStats`].
+///
+/// The live run streams its mapped events to the comparing sink in
+/// bounded chunks, so no workload's full stream is ever held in memory.
 #[test]
-fn batched_replay_is_bit_exact_on_real_workloads() {
-    use vacuum_packing::exec::Retired;
+fn replay_col_events_match_live_executor_on_every_workload() {
+    use std::sync::mpsc::{sync_channel, Receiver};
+    const CHUNK: usize = 1 << 14;
 
-    /// Records every event verbatim, via whichever sink path the kernel
-    /// picks (the default `retire_batch` forwards to `retire`).
-    #[derive(Default)]
-    struct Collect(Vec<Retired>);
-    impl Sink for Collect {
-        fn retire(&mut self, r: &Retired) {
-            self.0.push(*r);
-        }
+    /// Checks each replayed event against the next live one.
+    struct Compare {
+        rx: Receiver<Vec<ColEvent>>,
+        cur: Vec<ColEvent>,
+        at: usize,
+        index: u64,
     }
-    /// Same, but through an explicit batch override: catches kernels that
-    /// hand the sink a chunk slice inconsistent with the event-wise path.
-    #[derive(Default)]
-    struct CollectBatched(Vec<Retired>);
-    impl Sink for CollectBatched {
-        fn retire(&mut self, r: &Retired) {
-            self.0.push(*r);
-        }
-        fn retire_batch(&mut self, batch: &[Retired]) {
-            self.0.extend_from_slice(batch);
+    impl Sink for Compare {
+        fn retire(&mut self, e: ColEvent) {
+            while self.at == self.cur.len() {
+                self.cur = self.rx.recv().expect("replay outran the live stream");
+                self.at = 0;
+            }
+            assert_eq!(self.cur[self.at], e, "event {} diverged", self.index);
+            self.at += 1;
+            self.index += 1;
         }
     }
 
     let cfg = RunConfig::default();
-    for (name, program) in three_workloads() {
-        let layout = Layout::natural(&program);
-        let capture = CapturedTrace::capture(&program, &layout, &cfg)
-            .unwrap_or_else(|e| panic!("{name}: capture failed: {e}"));
-
-        let mut reference = Collect::default();
-        let ref_stats = capture.replay_per_event(&mut reference);
-
-        for batch in [1usize, 1009, 4096] {
-            let mut got = CollectBatched::default();
-            let stats = capture.replay_batched(&mut got, batch);
-            assert_eq!(stats, ref_stats, "{name} batch={batch}: stats diverged");
-            assert_eq!(
-                got.0.len(),
-                reference.0.len(),
-                "{name} batch={batch}: event count diverged"
-            );
-            assert!(
-                got.0 == reference.0,
-                "{name} batch={batch}: event sequence diverged"
-            );
-        }
-
-        // The default entry point (env-tuned chunk size) through the
-        // per-event forwarding default.
-        let mut via_default = Collect::default();
-        capture.replay(&mut via_default);
-        assert!(
-            via_default.0 == reference.0,
-            "{name}: default replay diverged"
+    for w in suite(1) {
+        let label = w.label();
+        let layout = Layout::natural(&w.program);
+        let capture = CapturedTrace::capture(&w.program, &layout, &cfg)
+            .unwrap_or_else(|e| panic!("{label}: capture failed: {e}"));
+        let (tx, rx) = sync_channel::<Vec<ColEvent>>(4);
+        let mut cmp = Compare {
+            rx,
+            cur: Vec::new(),
+            at: 0,
+            index: 0,
+        };
+        let (program, layout) = (&w.program, &layout);
+        let (live_stats, replay_stats) = std::thread::scope(|s| {
+            // `move` hands the sender to the live thread, so the channel
+            // closes when the live run ends.
+            let live = s.spawn(move || {
+                let mut buf = Vec::with_capacity(CHUNK);
+                let stats = Executor::new(program, layout)
+                    .run(
+                        |r| {
+                            buf.push(ColEvent::from(r));
+                            if buf.len() == CHUNK {
+                                // A send fails only once the comparison has
+                                // already panicked; that panic is reported.
+                                let _ = tx.send(std::mem::take(&mut buf));
+                            }
+                        },
+                        &cfg,
+                    )
+                    .expect("live run");
+                let _ = tx.send(buf);
+                stats
+            });
+            let replay_stats = capture.replay(&mut cmp);
+            (live.join().expect("live run panicked"), replay_stats)
+        });
+        assert_eq!(live_stats, replay_stats, "{label}: RunStats diverged");
+        assert_eq!(
+            cmp.at,
+            cmp.cur.len(),
+            "{label}: live stream has extra events"
         );
+        assert!(
+            cmp.rx.try_iter().all(|rest| rest.is_empty()),
+            "{label}: live stream has extra events"
+        );
+        assert_eq!(cmp.index, live_stats.retired, "{label}: event count");
     }
+}
+
+/// Consumer ports keep their answers: for three workloads × the four
+/// Figure 8 pack configurations, a digest of every `DiffReport` field and
+/// of the `ResidencySink` intervals of the packed run, pinned to the
+/// value recorded before the consumers moved to the one replay loop.
+#[test]
+fn diff_and_residency_answers_are_pinned() {
+    use vacuum_packing::exec::{diff_traces, DiffOptions};
+    use vacuum_packing::isa::Fnv;
+    use vacuum_packing::metrics::ResidencySink;
+
+    let cfg = RunConfig::default();
+    let mut h = Fnv::new();
+    for (name, program) in three_workloads() {
+        let pw = profile(name, program, &HsdConfig::table2(), None)
+            .unwrap_or_else(|e| panic!("{name}: profile failed: {e}"));
+        for pack_cfg in PackConfig::evaluation_matrix() {
+            let out = pack(&pw.program, &pw.layout, &pw.phases, &pack_cfg);
+            let layout = Layout::natural(&out.program);
+            let packed = CapturedTrace::capture(&out.program, &layout, &cfg)
+                .unwrap_or_else(|e| panic!("{name}: packed capture failed: {e}"));
+            let map = out.identity_map();
+            let report = diff_traces(&pw.trace, &packed, &map, &DiffOptions::default());
+            let mut residency = ResidencySink::new(map);
+            packed.replay(&mut residency);
+            h.write_str(&format!("{report:?}"));
+            h.write_str(&format!("{:?}", residency.finish()));
+        }
+    }
+    assert_eq!(h.finish(), 0x5047_7125_c604_2c7f);
 }
