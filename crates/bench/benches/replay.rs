@@ -1,5 +1,5 @@
 //! Replay-path throughput: the tracked perf baseline of the capture/replay
-//! pipeline (`BENCH_13.json`).
+//! pipeline (`BENCH_14.json`).
 //!
 //! Measures events/sec for every stage on one real workload:
 //!
@@ -13,7 +13,12 @@
 //! * `replay_hsd` — replay into the hot-spot detector;
 //! * `replay_diff` — `diff_traces` of one packed twolf cell (every
 //!   `PackConfig` default, natural layout, as the untimed sweep runs it)
-//!   against its original, counting the events of both replays;
+//!   against its original, counting the events of both replays (the
+//!   original-side build and the packed check);
+//! * `diff_check` — the same cell's diff as the sweep pays it per cell:
+//!   one replay of the packed capture into `(InstCounts, StreamDiff)`,
+//!   the measuring replay with the check riding on it, against original
+//!   visits built once beforehand (counting the packed events);
 //! * `disk_load` — bring a v3 `.vptrace` back from the disk tier on the
 //!   default path (memory-mapped zero-copy where supported, owned read
 //!   otherwise), CRC verified either way;
@@ -29,9 +34,9 @@
 //! Knobs (on top of the usual `VP_BENCH_MS`/`VP_BENCH_SAMPLES`):
 //!
 //! * `VP_BENCH_JSON=<path>` — write the measurements as a JSON baseline
-//!   (the file committed as `BENCH_13.json`);
+//!   (the file committed as `BENCH_14.json`);
 //! * `VP_BENCH_BASELINE=<path>` — gate the absolute events/sec of the
-//!   four replay rows ([`GATED_ROWS`]) against a committed baseline: exit
+//!   five replay rows ([`GATED_ROWS`]) against a committed baseline: exit
 //!   non-zero when any row falls more than 25% below it;
 //! * `VP_HISTORY_DIR=<dir>` — ingest this run into the run-history
 //!   warehouse, and when it already holds enough runs
@@ -42,7 +47,8 @@
 use std::io::Write;
 use vacuum_packing::core::{pack, PackConfig};
 use vacuum_packing::exec::{
-    diff_traces, CapturedTrace, DiffOptions, DiskTier, Executor, InstCounts, RunConfig, TraceKey,
+    diff_traces, CapturedTrace, DiffOptions, DiskTier, Executor, InstCounts, OriginalVisits,
+    RunConfig, StreamDiff, TraceKey,
 };
 use vacuum_packing::hsd::{HotSpotDetector, HsdConfig};
 use vacuum_packing::metrics::profile;
@@ -54,7 +60,13 @@ use vacuum_packing::sim::{MachineConfig, TimingModel};
 const MAX_REGRESSION: f64 = 0.25;
 
 /// The rows whose absolute throughput is gated.
-const GATED_ROWS: [&str; 4] = ["replay_batched", "replay_sim", "replay_hsd", "replay_diff"];
+const GATED_ROWS: [&str; 5] = [
+    "replay_batched",
+    "replay_sim",
+    "replay_hsd",
+    "replay_diff",
+    "diff_check",
+];
 
 fn events_per_sec(results: &[bench::micro::BenchResult], name: &str) -> Option<f64> {
     results
@@ -163,6 +175,13 @@ fn main() {
     r.bench_throughput("retire_stream/replay_diff", diff_events, || {
         diff_traces(&pw.trace, &packed, &map, &opts).aligned_visits
     });
+    let original = OriginalVisits::build(&pw.trace);
+    r.bench_throughput("retire_stream/diff_check", packed.events(), || {
+        let mut counts = InstCounts::new();
+        let mut check = StreamDiff::new(&original, &map, &opts);
+        let stats = packed.replay(&mut (&mut counts, &mut check));
+        check.finish(stats.stop).aligned_visits + counts.total
+    });
     r.bench_throughput("retire_stream/disk_load", events, || {
         tier.load(&key).expect("warm load").events()
     });
@@ -185,6 +204,7 @@ fn main() {
         "replay_sim",
         "replay_hsd",
         "replay_diff",
+        "diff_check",
         "disk_load",
         "disk_load_mmap",
         "disk_load_owned",

@@ -91,13 +91,15 @@
 //!
 //! Packed binaries are captured under a [`TraceKey::packed`] key (the
 //! original key plus the package-set fingerprint), and the [`diff`] module
-//! structurally aligns a packed capture against the original one: packed
-//! locations are folded back to original block identities through an
-//! [`IdentityMap`], rewriter-introduced events (exit blocks, launch stubs,
-//! migration glue) are dropped as expected divergences, and everything
-//! else must align visit-for-visit or the run is flagged with
-//! first-divergence forensics. See [`diff_traces`] and the `VP_DIFF` knob
-//! ([`DiffMode::from_env`]).
+//! structurally aligns a packed stream against the original one in a
+//! single pass: the original capture is folded once into
+//! [`OriginalVisits`], and a [`StreamDiff`] sink checks the packed stream
+//! while it is replayed — packed locations are folded back to original
+//! block identities through an [`IdentityMap`], rewriter-introduced events
+//! (exit blocks, launch stubs, migration glue) are dropped as expected
+//! divergences, and everything else must align visit-for-visit or the run
+//! is flagged with first-divergence forensics. See [`diff_traces`] and the
+//! `VP_DIFF` knob ([`DiffMode::from_env`]).
 
 #![warn(missing_docs)]
 
@@ -112,7 +114,7 @@ pub mod trace_store;
 pub use blob::{crc32, BlobDir};
 pub use diff::{
     diff_traces, BlockIdentity, DiffMode, DiffOptions, DiffReport, DiffVerdict, Divergence,
-    IdentityMap, Visit,
+    IdentityMap, OriginalVisits, StreamDiff, Visit, PKG_ENTER_FLIGHT_CAP,
 };
 pub use event::{col, ColEvent, Ctrl, InstCounts, Retired, Sink};
 pub use exec::{ExecError, Executor, RunConfig, RunStats, StopReason};

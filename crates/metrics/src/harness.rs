@@ -16,10 +16,20 @@
 //! (a re-run, a CI job, another shard of a multi-process sweep) profiles
 //! at replay cost. Packed binaries go through the same store under a
 //! [`TraceKey::packed`] key (the package-set fingerprint distinguishes
-//! variants), their cycles are timed from replay, and every packed
-//! capture is differentially replayed against the original one
+//! variants) and their cycles are timed from replay.
+//!
+//! Every packed run is also differentially replayed against the original
 //! (`vp_exec::diff`, `VP_DIFF` knob) to prove the rewrite did the same
-//! architectural work.
+//! architectural work, in a single pass: the replay that measures the
+//! packed run's coverage feeds a `StreamDiff` next to the instruction
+//! counts, checking each packed visit against the profile's original
+//! visit stream as it closes. That original side is built once per
+//! profile, on first use, and shared by every configuration (and every
+//! [`ProfiledWorkload::with_phases`] copy) evaluated against it; about
+//! 105 MiB for the whole bundled suite. So the per-cell diff time falls
+//! inside the `metrics.evaluate.measure` span (with the one-time original
+//! build), and `metrics.evaluate.diff` / `exec.diff` cover only the final
+//! verdict.
 //!
 //! Profiles are also *transferable*: [`ProfiledWorkload::dump`] exports a
 //! run's phases into the merge algebra (`vp_hsd::merge`), and
@@ -29,11 +39,11 @@
 //! sweep (`bench`'s `sweep cross`).
 
 use crate::branches::BranchCounts;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vp_core::{pack, PackConfig, PackOutput};
 use vp_exec::{
-    diff_traces, CapturedTrace, DiffMode, DiffOptions, DiffReport, ExecError, InstCounts,
-    RunConfig, StopReason, TraceKey, TraceStore,
+    CapturedTrace, DiffMode, DiffOptions, DiffReport, ExecError, InstCounts, OriginalVisits,
+    RunConfig, StopReason, StreamDiff, TraceKey, TraceStore,
 };
 use vp_hsd::{filter_hot_spots, FilterConfig, HotSpotDetector, HsdConfig, Phase};
 use vp_opt::{optimize_packages, OptConfig};
@@ -63,6 +73,10 @@ pub struct ProfiledWorkload {
     /// The captured retired stream of the profiling run, shared with
     /// [`evaluate`] (baseline timing) and any later consumer.
     pub trace: Arc<CapturedTrace>,
+    /// The original side of differential replay, folded from `trace` on
+    /// first use and shared with [`ProfiledWorkload::with_phases`]
+    /// copies. Never built when no diff runs.
+    original_visits: Arc<OnceLock<OriginalVisits>>,
 }
 
 impl ProfiledWorkload {
@@ -98,7 +112,15 @@ impl ProfiledWorkload {
             base_cycles: self.base_cycles,
             raw_detections: self.raw_detections,
             trace: Arc::clone(&self.trace),
+            original_visits: Arc::clone(&self.original_visits),
         }
+    }
+
+    /// The original side of differential replay: [`ProfiledWorkload::trace`]
+    /// folded into its visit sequence, built on first use.
+    fn original_visits(&self) -> &OriginalVisits {
+        self.original_visits
+            .get_or_init(|| OriginalVisits::build(&self.trace))
     }
 }
 
@@ -165,6 +187,7 @@ pub fn profile(
         base_cycles,
         raw_detections,
         trace,
+        original_visits: Arc::default(),
     })
 }
 
@@ -207,7 +230,9 @@ pub struct ConfigOutcome {
 /// capture through the [`TimingModel`] — the same measurement path
 /// baseline cycles use — and baseline cycles come from
 /// [`ProfiledWorkload::base_cycles`] or a replay of the profile's shared
-/// capture.
+/// capture. The differential check rides on the replay that measures
+/// coverage: the packed stream is replayed once into
+/// `(InstCounts, StreamDiff)`.
 ///
 /// # Errors
 ///
@@ -271,16 +296,35 @@ pub fn evaluate_with_diff(
         &run_cfg,
         out.fingerprint(),
     );
+    // Block-moving optimizations (cold sinking, LICM) break the
+    // block-level parallelism the alignment relies on: no check runs.
+    let check_applies = diff_mode != DiffMode::Off && !opt_cfg.sink_cold && !opt_cfg.licm;
+    let map = check_applies.then(|| out.identity_map());
     let mut counts = InstCounts::new();
-    let (packed_trace, stats) = {
+    let (packed_trace, stats, check) = {
         let _s = vp_trace::span("metrics.evaluate.measure");
-        TraceStore::global().capture_or_replay_shared(
-            key,
-            packed_prog,
-            &packed_layout,
-            &run_cfg,
-            &mut counts,
-        )?
+        let mut check = map
+            .as_ref()
+            .map(|map| StreamDiff::new(pw.original_visits(), map, &DiffOptions::default()));
+        let store = TraceStore::global();
+        let (trace, stats) = match &mut check {
+            // One replay both measures the packed run and checks it.
+            Some(check) => store.capture_or_replay_shared(
+                key,
+                packed_prog,
+                &packed_layout,
+                &run_cfg,
+                &mut (&mut counts, check),
+            )?,
+            None => store.capture_or_replay_shared(
+                key,
+                packed_prog,
+                &packed_layout,
+                &run_cfg,
+                &mut counts,
+            )?,
+        };
+        (trace, stats, check)
     };
     debug_assert_eq!(
         stats.stop,
@@ -299,7 +343,19 @@ pub fn evaluate_with_diff(
         timing.cycles()
     });
 
-    let diff = diff_packed_run(pw, &out, &packed_trace, opt_cfg, diff_mode);
+    let diff = match check {
+        None => (diff_mode != DiffMode::Off).then(DiffReport::skipped),
+        Some(check) => {
+            let _s = vp_trace::span("metrics.evaluate.diff");
+            let report = check.finish(stats.stop);
+            assert!(
+                diff_mode != DiffMode::Strict || report.is_clean(),
+                "{}: packed run diverged from the original (VP_DIFF=strict)\n{report}",
+                pw.label
+            );
+            Some(report)
+        }
+    };
 
     let base_cycles = match (pw.base_cycles, machine) {
         (Some(base), _) => Some(base),
@@ -329,40 +385,6 @@ pub fn evaluate_with_diff(
         speedup,
         diff,
     })
-}
-
-/// Diffs the packed capture against the profile's original capture.
-///
-/// Returns `None` for [`DiffMode::Off`]; returns a
-/// [`DiffVerdict::Skipped`](vp_exec::DiffVerdict::Skipped) report when
-/// block-moving optimizations (cold sinking, LICM) are enabled, because
-/// they break the block-level parallelism the alignment relies on.
-fn diff_packed_run(
-    pw: &ProfiledWorkload,
-    out: &PackOutput,
-    packed_trace: &CapturedTrace,
-    opt_cfg: &OptConfig,
-    mode: DiffMode,
-) -> Option<DiffReport> {
-    if mode == DiffMode::Off {
-        return None;
-    }
-    if opt_cfg.sink_cold || opt_cfg.licm {
-        return Some(DiffReport::skipped());
-    }
-    let _s = vp_trace::span("metrics.evaluate.diff");
-    let report = diff_traces(
-        &pw.trace,
-        packed_trace,
-        &out.identity_map(),
-        &DiffOptions::default(),
-    );
-    assert!(
-        mode != DiffMode::Strict || report.is_clean(),
-        "{}: packed run diverged from the original (VP_DIFF=strict)\n{report}",
-        pw.label
-    );
-    Some(report)
 }
 
 #[cfg(test)]
@@ -487,6 +509,83 @@ mod tests {
                     "{cfg:?}: packaged runs must record residency"
                 );
             }
+            // The fused check equals the same cell diffed standalone.
+            let packed = pack(&pw.program, &pw.layout, &pw.phases, &cfg);
+            let (prog, order) = optimize_packages(&packed, &machine, &OptConfig::default());
+            let layout = Layout::new(&prog, &order);
+            let trace = CapturedTrace::capture(&prog, &layout, &RunConfig::default()).unwrap();
+            let standalone = vp_exec::diff_traces(
+                &pw.trace,
+                &trace,
+                &packed.identity_map(),
+                &DiffOptions::default(),
+            );
+            assert_eq!(diff, standalone, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn original_visits_are_shared_and_built_only_when_a_diff_runs() {
+        let pw = profile("300.twolf A", twolf::build(1), &HsdConfig::table2(), None).unwrap();
+        let foreign = pw.with_phases(pw.phases.clone(), "itself");
+        for mode in [DiffMode::Off, DiffMode::Report] {
+            evaluate_with_diff(&pw, &PackConfig::default(), &OptConfig::full(), None, mode)
+                .unwrap();
+        }
+        assert!(
+            pw.original_visits.get().is_none(),
+            "off mode and skipped configurations never build the original side"
+        );
+        evaluate_with_diff(
+            &foreign,
+            &PackConfig::default(),
+            &OptConfig::default(),
+            None,
+            DiffMode::Report,
+        )
+        .unwrap();
+        let built = pw.original_visits.get().expect("shared with the copy");
+        assert!(built.len() >= built.distinct() && built.distinct() > 0);
+    }
+
+    #[test]
+    fn package_entries_cannot_flood_the_flight_ring() {
+        if vp_trace::flight::is_disabled() {
+            return; // VP_FLIGHT_EVENTS=0: there is no ring to flood.
+        }
+        let machine = MachineConfig::table2();
+        let ((), report) = vp_trace::scoped(|| {
+            let pw = profile("300.twolf A", twolf::build(1), &HsdConfig::table2(), None).unwrap();
+            for cfg in PackConfig::evaluation_matrix() {
+                evaluate_with_diff(
+                    &pw,
+                    &cfg,
+                    &OptConfig::default(),
+                    Some(&machine),
+                    DiffMode::Strict,
+                )
+                .unwrap();
+            }
+        });
+        let runs = PackConfig::evaluation_matrix().len() as u64;
+        assert!(
+            report.flight_count("diff.pkg_enter") as u64 <= runs * vp_exec::PKG_ENTER_FLIGHT_CAP
+        );
+        assert!(report.counter("diff.pkg_enter_suppressed") > 0);
+        let ring = vp_trace::flight::snapshot();
+        let kept: std::collections::HashSet<u64> = ring.events.iter().map(|e| e.seq).collect();
+        let wanted: Vec<_> = report
+            .flights
+            .iter()
+            .filter(|e| e.kind == "metrics.pack" || e.kind.starts_with("hsd."))
+            .collect();
+        assert!(wanted.iter().any(|e| e.kind == "metrics.pack"));
+        assert!(wanted.iter().any(|e| e.kind.starts_with("hsd.")));
+        for e in wanted {
+            assert!(
+                kept.contains(&e.seq),
+                "{e:?} was evicted from the flight ring"
+            );
         }
     }
 
